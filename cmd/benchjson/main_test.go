@@ -35,7 +35,7 @@ func TestDiffFiles(t *testing.T) {
 	t.Run("within threshold", func(t *testing.T) {
 		newPath := writeBench(t, dir, "ok.json", []BenchResult{
 			{Name: "BenchmarkFig14", Runs: 1, Metrics: map[string]float64{
-				"ns/op": 9_999_999, // wall clock: ignored at any drift
+				"ns/op":           9_999_999, // wall clock: ignored at any drift
 				"mean-latency-us": 110, "kiops": 45,
 			}},
 			{Name: "BenchmarkNew", Runs: 1, Metrics: map[string]float64{"kiops": 7}},

@@ -4,6 +4,9 @@
 // trace-event JSON (open in Perfetto), -metrics-json a machine-
 // readable run summary, and -check attaches the cross-layer invariant
 // checker (page conservation, bus legality, leak detection at drain).
+// -cpuprofile and -memprofile write pprof profiles of the simulator
+// itself; every run ends with one stderr line giving its wall time,
+// events fired, events per second and heap bytes allocated.
 //
 //	go run ./cmd/pssdsim -arch pnssd+split -preset rocksdb-0 -gc spgc
 //	go run ./cmd/pssdsim -arch pssd -synthetic rand-read -outstanding 32
@@ -16,7 +19,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
+	"time"
 
 	"repro/internal/check"
 	"repro/internal/controller"
@@ -46,15 +52,16 @@ var gcNames = map[string]ftl.GCMode{
 }
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
 // run is the whole binary behind a testable seam: parse args, simulate,
-// and print to stdout. The golden-output test drives it directly.
-func run(args []string, stdout io.Writer) error {
+// print the report to stdout and the simulator's own cost to stderr. The
+// golden-output test drives it directly.
+func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("pssdsim", flag.ContinueOnError)
 	archFlag := fs.String("arch", "pnssd+split", "architecture: base, nossd-pin, nossd-free, pssd, pnssd, pnssd+split")
 	preset := fs.String("preset", "", "named workload preset (see -list)")
@@ -75,6 +82,8 @@ func run(args []string, stdout io.Writer) error {
 	mapevict := fs.String("mapevict", "", "with -mapping fmmu: cache eviction policy, clock or lru (default clock)")
 	shards := fs.Int("shards", 0, "run on a partitioned engine with this many shards (0 or 1 = serial); results are byte-identical at any count")
 	list := fs.Bool("list", false, "list named traces and exit")
+	cpuProf := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	memProf := fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -143,6 +152,22 @@ func run(args []string, stdout io.Writer) error {
 	default:
 		return fmt.Errorf("unknown mapping mode %q (want flat or fmmu)", *mapping)
 	}
+
+	if *cpuProf != "" {
+		fh, err := os.Create(*cpuProf)
+		if err != nil {
+			return fmt.Errorf("cpuprofile: %v", err)
+		}
+		if err := pprof.StartCPUProfile(fh); err != nil {
+			fh.Close()
+			return fmt.Errorf("cpuprofile: %v", err)
+		}
+		defer func() { pprof.StopCPUProfile(); fh.Close() }()
+	}
+	if *memProf != "" {
+		defer writeHeapProfile(*memProf, stderr)
+	}
+	defer reportCost(stderr, time.Now(), sim.EventsFiredTotal(), heapAllocated())
 
 	s := ssd.New(arch, cfg)
 	foot := s.Config.LogicalPages()
@@ -246,6 +271,37 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "metrics: %s\n", *metricsOut)
 	}
 	return nil
+}
+
+// heapAllocated returns the cumulative bytes the process has allocated.
+func heapAllocated() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
+}
+
+// reportCost prints the simulator's own cost since start: wall time,
+// events fired, events per wall second and heap bytes allocated.
+func reportCost(stderr io.Writer, start time.Time, events0 int64, alloc0 uint64) {
+	wall := time.Since(start)
+	events := sim.EventsFiredTotal() - events0
+	fmt.Fprintf(stderr, "pssdsim: wall %v, %d events, %.0f events/s, %d heap bytes allocated\n",
+		wall.Round(time.Millisecond), events, float64(events)/wall.Seconds(), heapAllocated()-alloc0)
+}
+
+// writeHeapProfile writes a pprof heap profile after a collection, so it
+// shows what the run still holds live as well as what it allocated.
+func writeHeapProfile(path string, stderr io.Writer) {
+	fh, err := os.Create(path)
+	if err != nil {
+		fmt.Fprintf(stderr, "memprofile: %v\n", err)
+		return
+	}
+	defer fh.Close()
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(fh); err != nil {
+		fmt.Fprintf(stderr, "memprofile: %v\n", err)
+	}
 }
 
 func printReport(stdout io.Writer, s *ssd.SSD, end sim.Time) error {

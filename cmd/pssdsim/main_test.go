@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -18,7 +20,7 @@ var update = flag.Bool("update", false, "rewrite the golden file from this run")
 func TestGoldenOutput(t *testing.T) {
 	args := []string{"-arch", "pnssd+split", "-preset", "rocksdb-0", "-gc", "spgc", "-requests", "300", "-seed", "7", "-check"}
 	var buf bytes.Buffer
-	if err := run(args, &buf); err != nil {
+	if err := run(args, &buf, io.Discard); err != nil {
 		t.Fatalf("run %v: %v", args, err)
 	}
 	const golden = "testdata/golden_rocksdb0_spgc.txt"
@@ -41,7 +43,7 @@ func TestGoldenOutput(t *testing.T) {
 
 func TestListFlag(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-list"}, &buf); err != nil {
+	if err := run([]string{"-list"}, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"rocksdb-0", "exchange-1", "web-0"} {
@@ -59,8 +61,37 @@ func TestBadFlagsReturnErrors(t *testing.T) {
 		{"-synthetic", "bogus"},
 		{"-preset", "bogus", "-requests", "10"},
 	} {
-		if err := run(args, &bytes.Buffer{}); err == nil {
+		if err := run(args, &bytes.Buffer{}, io.Discard); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
+	}
+}
+
+// -cpuprofile and -memprofile write non-empty profiles, and the cost line
+// goes to stderr only: stdout stays the report the golden test pins.
+func TestProfilesAndCostLine(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	var stdout, stderr bytes.Buffer
+	args := []string{"-preset", "rocksdb-0", "-requests", "100", "-cpuprofile", cpu, "-memprofile", mem}
+	if err := run(args, &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s missing or empty: %v", path, err)
+		}
+	}
+	line := stderr.String()
+	if strings.Count(line, "\n") != 1 || !strings.HasPrefix(line, "pssdsim: wall ") {
+		t.Fatalf("stderr is not one cost line: %q", line)
+	}
+	for _, want := range []string{" events, ", " events/s, ", " heap bytes allocated"} {
+		if !strings.Contains(line, want) {
+			t.Errorf("cost line %q lacks %q", line, want)
+		}
+	}
+	if strings.Contains(stdout.String(), "pssdsim:") {
+		t.Error("cost line leaked into stdout")
 	}
 }

@@ -15,9 +15,9 @@ import (
 // own bookkeeping, which is the point.
 type mapState struct {
 	entries  int
-	resident map[int]int64 // t -> version the cache claims to hold
-	dirty    map[int]bool  // t -> mirror of the entry's dirty flag
-	flashVer map[int]int64 // t -> last committed (flash) version
+	resident map[int]int64       // t -> version the cache claims to hold
+	dirty    map[int]bool        // t -> mirror of the entry's dirty flag
+	flashVer map[int]int64       // t -> last committed (flash) version
 	expect   map[int]flash.Token // t -> token the last commit programmed
 	// pendWB tracks dirty evictions: the evicted version must later be
 	// committed (at that version or newer) or the writeback was lost.

@@ -481,4 +481,3 @@ func (f *SchedFabric) complete(op *schedOp) {
 		f.drainOOO()
 	}
 }
-

@@ -380,7 +380,7 @@ type recordingSchedChecker struct {
 	maxInflight                           int
 }
 
-func (r *recordingSchedChecker) SchedReserved(op uint64, segs []PathSeg)  { r.reserved++ }
+func (r *recordingSchedChecker) SchedReserved(op uint64, segs []PathSeg) { r.reserved++ }
 func (r *recordingSchedChecker) SchedReleased(op uint64, segs []PathSeg) { r.released++ }
 func (r *recordingSchedChecker) SchedIssued(op uint64, rank, window, bypassed, bound int) {
 	r.issued++

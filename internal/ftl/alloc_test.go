@@ -12,15 +12,15 @@ func TestAllocatorCoversEverySlotOncePerCycle(t *testing.T) {
 	for _, policy := range []AllocPolicy{PCWD, PWCD} {
 		a := newAllocator(policy, 4, 3, 2)
 		seen := make(map[slot]int)
-		for i := 0; i < a.total; i++ {
+		for i := 0; i < len(a.slots); i++ {
 			s, ok := a.next(func(slot) bool { return true })
 			if !ok {
 				t.Fatalf("%v: allocator refused with universal filter", policy)
 			}
 			seen[s]++
 		}
-		if len(seen) != a.total {
-			t.Fatalf("%v: %d distinct slots in one cycle, want %d", policy, len(seen), a.total)
+		if len(seen) != len(a.slots) {
+			t.Fatalf("%v: %d distinct slots in one cycle, want %d", policy, len(seen), len(a.slots))
 		}
 		for s, n := range seen {
 			if n != 1 {
@@ -137,7 +137,7 @@ func TestPhysIndexInjective(t *testing.T) {
 }
 
 func TestPlaneStateGCAndHostStreamsIndependent(t *testing.T) {
-	ps := newPlaneState(4, 4)
+	ps := newPlaneState(4, 4, new(int))
 	hb, _, _ := ps.allocate()
 	gb, _, _ := ps.allocateGC()
 	if hb == gb {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/controller"
 	"repro/internal/fault"
 	"repro/internal/flash"
 )
@@ -215,5 +216,41 @@ func TestGCCopyRetriesOnDestinationFailure(t *testing.T) {
 	}
 	if int64(f.RetiredBlocks()) != ras.BlocksRetired {
 		t.Fatalf("RetiredBlocks()=%d != BlocksRetired=%d", f.RetiredBlocks(), ras.BlocksRetired)
+	}
+}
+
+// Retiring a block that still sits in the free pool — possible whenever a
+// fault lands on a block the allocator has not opened yet — must take it
+// out of the erased-block counter too, and CheckConsistency must notice
+// a counter that drifts from the per-plane pools.
+func TestRetiringErasedBlockKeepsFreeCounter(t *testing.T) {
+	e, f, _ := rig(noGC(), 256)
+	inj := fault.New(fault.Config{Seed: 3, EraseFailsPerChip: 1})
+	f.SetFaults(inj)
+	for lpn := int64(0); lpn < 32; lpn++ {
+		f.Write([]int64{lpn}, []flash.Token{TokenFor(lpn, 1)}, func() {})
+	}
+	e.Run()
+
+	before := f.totalFreeBlocks()
+	ps := f.planes[0]
+	erased := ps.free[0]
+	f.retireBlock(controller.ChipID{}, 0, erased) // planes[0] is chip (0,0), plane 0
+	if got := f.totalFreeBlocks(); got != before-1 {
+		t.Fatalf("free-block counter %d after retiring an erased block, want %d", got, before-1)
+	}
+	if got, want := f.FreeBlockFraction(), float64(before-1)/float64(len(f.planes)*f.geo.BlocksPerPlane); got != want {
+		t.Fatalf("FreeBlockFraction = %v, want %v", got, want)
+	}
+	if err := f.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	if inj.RAS().BlocksRetired != 1 {
+		t.Fatalf("BlocksRetired = %d, want 1", inj.RAS().BlocksRetired)
+	}
+
+	f.freeBlocks++
+	if err := f.CheckConsistency(); err == nil {
+		t.Fatal("CheckConsistency accepted a free-block counter that disagrees with the planes")
 	}
 }

@@ -181,13 +181,7 @@ func (f *FTL) capVictims(victims []victim) []victim {
 	return kept
 }
 
-func (f *FTL) totalFreeBlocks() int {
-	free := 0
-	for _, ps := range f.planes {
-		free += ps.freeBlocks()
-	}
-	return free
-}
+func (f *FTL) totalFreeBlocks() int { return f.freeBlocks }
 
 func (f *FTL) finishGC(started sim.Time, freeAtStart int, hadVictims bool, done func()) {
 	f.gcActive = false
@@ -412,7 +406,7 @@ func (f *FTL) eraseVictim(v victim, done func()) {
 			return
 		}
 		ps.blocks[v.block].state = BlockFree
-		ps.free = append(ps.free, v.block)
+		ps.pushFree(v.block)
 		f.stats.GCBlocksErased++
 		f.retryStalled()
 		done()

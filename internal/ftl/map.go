@@ -253,12 +253,10 @@ func (m *mapUnit) carveBlocks() {
 		id := controller.ChipID{Channel: chipIdx / m.f.ways, Way: chipIdx % m.f.ways}
 		plane := (i / numChips) % geo.Planes
 		ps := m.f.planeAt(id, plane)
-		n := len(ps.free)
-		if n == 0 {
+		if len(ps.free) == 0 {
 			panic(fmt.Sprintf("ftl: map region does not fit: chip %v plane %d has no free block for map block %d/%d (shrink the footprint or EntriesPerPage)", id, plane, i, needed))
 		}
-		b := ps.free[n-1]
-		ps.free = ps.free[:n-1]
+		b := ps.popFree()
 		bi := &ps.blocks[b]
 		bi.state = BlockFull
 		bi.mapOwned = true

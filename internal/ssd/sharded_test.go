@@ -107,11 +107,11 @@ func TestPartitionPlan(t *testing.T) {
 		groups    int
 		shards    int
 	}{
-		{ArchBase, 4, 2, 3},        // 2 channel pairs -> at most 3 shards
+		{ArchBase, 4, 2, 3}, // 2 channel pairs -> at most 3 shards
 		{ArchPSSD, 2, 2, 2},
-		{ArchPnSSD, 8, 4, 5},       // numV = min(4,4) = 4 columns
+		{ArchPnSSD, 8, 4, 5}, // numV = min(4,4) = 4 columns
 		{ArchPnSSDSplit, 4, 4, 4},
-		{ArchNoSSDPin, 16, 4, 5},   // one group per row
+		{ArchNoSSDPin, 16, 4, 5}, // one group per row
 	}
 	for _, tc := range cases {
 		p := PlanPartition(tc.arch, cfg, tc.requested, sim.Microsecond)

@@ -163,8 +163,8 @@ func TestTelemetryCounterTracksInChromeExport(t *testing.T) {
 	}
 	var doc struct {
 		TraceEvents []struct {
-			Name string             `json:"name"`
-			Cat  string             `json:"cat"`
+			Name string         `json:"name"`
+			Cat  string         `json:"cat"`
 			Ph   string         `json:"ph"`
 			Args map[string]any `json:"args"`
 		} `json:"traceEvents"`
