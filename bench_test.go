@@ -10,6 +10,7 @@
 package main
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -253,6 +254,35 @@ func BenchmarkArraySweep(b *testing.B) {
 					b.ReportMetric(r.RebuildTime.Milliseconds(), "rebuild-ms")
 				}
 			}
+		}
+	}
+}
+
+// BenchmarkSpGCSaturated is the saturation guard: rocksdb-1 on
+// pnSSD(+split) with SpGC at 8k and 16k requests on the scaled device,
+// the lengths on either side of the point where it saturates into a
+// whole-device compaction. It reports events per request and write
+// stalls (host writes that ever parked on space), both deterministic, so
+// a wait loop that polls instead of being woken shows up as a jump in
+// events per request.
+func BenchmarkSpGCSaturated(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		for _, n := range []int{8000, 16000} {
+			cfg := ssd.ScaledConfig()
+			cfg.FTL.GCMode = ftl.GCSpatial
+			cfg.LogicalUtilization = 0.75
+			s := ssd.New(ssd.ArchPnSSDSplit, cfg)
+			foot := s.Config.LogicalPages()
+			s.Host.Warmup(foot)
+			tr, err := workload.Named("rocksdb-1", foot, n, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s.Host.MustReplay(tr.Requests)
+			s.Run()
+			k := fmt.Sprintf("%dk-", n/1000)
+			b.ReportMetric(float64(s.Engine.EventsFired())/float64(n), k+"events-per-req")
+			b.ReportMetric(float64(s.FTL.Stats().WriteStalls), k+"write-stalls")
 		}
 	}
 }

@@ -53,8 +53,6 @@ type OmnibusFabric struct {
 	faults       *fault.Injector
 	eccFallbacks int64
 
-	vpageRetry sim.Time
-
 	// trc records logical spans (grant arbitration, copies) and routing
 	// instants; nil (the default) disables tracing with no overhead.
 	trc *trace.Recorder
@@ -92,19 +90,18 @@ func NewOmnibusFabricAsym(eng *sim.Engine, name string, grid *Grid, soc *Soc, pa
 	}
 	colsPerV := (grid.Ways + numV - 1) / numV
 	f := &OmnibusFabric{
-		eng:        eng,
-		name:       name,
-		grid:       grid,
-		soc:        soc,
-		pageSize:   pageSize,
-		split:      split,
-		h:          make([]*bus.Channel, grid.Channels),
-		v:          make([]*bus.Channel, numV),
-		hIface:     make([]bus.Packetized, grid.Channels),
-		vIface:     make([]bus.Packetized, numV),
-		colsPerV:   colsPerV,
-		route:      RouteGreedy,
-		vpageRetry: 5 * sim.Microsecond,
+		eng:      eng,
+		name:     name,
+		grid:     grid,
+		soc:      soc,
+		pageSize: pageSize,
+		split:    split,
+		h:        make([]*bus.Channel, grid.Channels),
+		v:        make([]*bus.Channel, numV),
+		hIface:   make([]bus.Packetized, grid.Channels),
+		vIface:   make([]bus.Packetized, numV),
+		colsPerV: colsPerV,
+		route:    RouteGreedy,
 	}
 	for ch := 0; ch < grid.Channels; ch++ {
 		f.h[ch] = bus.NewChannel(eng, fmt.Sprintf("%s/h%d", name, ch), hWidthBits, rateMTps)
@@ -482,7 +479,8 @@ func (f *OmnibusFabric) Copy(src ChipID, from flash.PPA, dst ChipID, to flash.PP
 	// v-channel owner, the owner checks the destination's buffer status,
 	// and the grant comes back — three one-way messages. The V-page
 	// register is reserved at grant time; if none is free, the request
-	// retries after a backoff. An injected GrantDrop loses the exchange:
+	// parks at the destination chip and the grant leaves when a commit
+	// frees a register for it. An injected GrantDrop loses the exchange:
 	// the source controller times out after GrantTimeout<<attempt and
 	// re-requests, and when the retry budget is exhausted it fails over
 	// to the controller-relayed path — a grant is never awaited forever.
@@ -530,30 +528,27 @@ func (f *OmnibusFabric) Copy(src ChipID, from flash.PPA, dst ChipID, to flash.PP
 				return
 			}
 			f.soc.CtrlMsg(func() { // buffer-status check at destination ctrl
-				reg := dstChip.AcquireVPage()
-				if reg < 0 {
-					f.eng.Schedule(f.vpageRetry, arbitrate)
-					return
-				}
-				f.soc.CtrlMsg(func() { // grant back to source ctrl
-					f.directCopies++
-					if f.check != nil {
-						f.check.CopyRouted(src, dst, true)
-					}
-					f.trc.EndSpan(grantSpan)
-					f.tel.GrantWait(arbStart, f.eng.Now())
-					fin := done
-					if f.trc.Enabled() {
-						sp := f.trc.BeginSpan("gc", "direct-copy",
-							trace.KV{K: "src", V: src.String()}, trace.KV{K: "dst", V: dst.String()})
-						fin = func() {
-							f.trc.EndSpan(sp)
-							if done != nil {
-								done()
+				dstChip.WaitVPage(func(reg int) {
+					f.soc.CtrlMsg(func() { // grant back to source ctrl
+						f.directCopies++
+						if f.check != nil {
+							f.check.CopyRouted(src, dst, true)
+						}
+						f.trc.EndSpan(grantSpan)
+						f.tel.GrantWait(arbStart, f.eng.Now())
+						fin := done
+						if f.trc.Enabled() {
+							sp := f.trc.BeginSpan("gc", "direct-copy",
+								trace.KV{K: "src", V: src.String()}, trace.KV{K: "dst", V: dst.String()})
+							fin = func() {
+								f.trc.EndSpan(sp)
+								if done != nil {
+									done()
+								}
 							}
 						}
-					}
-					f.directTransfer(vch, vifc, srcChip, from, dstChip, reg, to, fin)
+						f.directTransfer(vch, vifc, srcChip, from, dstChip, reg, to, fin)
+					})
 				})
 			})
 		})

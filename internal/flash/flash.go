@@ -126,6 +126,14 @@ type Chip struct {
 	pageReg    []Token // per-plane page registers
 	vpage      []Token // pnSSD V-page registers (2 in the paper)
 	vpageInUse []bool
+	// vpageWaiters holds the grants of transfers parked until a V-page
+	// register frees, in arrival order. A freed register passes straight
+	// to the head waiter, so no one polls for buffer space.
+	vpageWaiters []func(reg int)
+	// lostWakeups makes the next that many hand-offs free the register
+	// and leave the waiter parked; only the lost-wakeup mutation test
+	// sets it.
+	lostWakeups int
 
 	content    [][]Token // [plane][block*pagesPerBlock+page]
 	state      [][]PageState
@@ -210,6 +218,10 @@ func (c *Chip) VPagesHeld() int {
 	}
 	return n
 }
+
+// VPageWaiters counts transfers parked for a V-page register — nonzero
+// after a drained run means a lost wakeup stranded them.
+func (c *Chip) VPageWaiters() int { return len(c.vpageWaiters) }
 
 // Busy reports whether the die is executing an array operation — the R/B_n
 // pin abstraction.
@@ -385,7 +397,7 @@ func (c *Chip) ProgramFromVPage(reg int, addr PPA, done func()) {
 	}
 	token := c.vpage[reg]
 	c.Program([]ProgramOp{{Addr: addr, Token: token}}, func() {
-		c.vpageInUse[reg] = false
+		c.freeVPage(reg)
 		if done != nil {
 			done()
 		}
@@ -444,8 +456,7 @@ func (c *Chip) checkVReg(reg int) {
 }
 
 // AcquireVPage claims a free V-page register, returning its index or -1
-// when both are held — the buffer-status check the Omnibus control plane
-// performs before granting a v-channel transfer (Fig 11).
+// when both are held.
 func (c *Chip) AcquireVPage() int {
 	for i, used := range c.vpageInUse {
 		if !used {
@@ -454,6 +465,40 @@ func (c *Chip) AcquireVPage() int {
 		}
 	}
 	return -1
+}
+
+// WaitVPage runs grant with a claimed V-page register: at once when one
+// is free and no transfer is parked ahead, otherwise when a commit or
+// abort frees one for it, in arrival order — the buffer-status check the
+// Omnibus control plane performs before granting a v-channel transfer
+// (Fig 11), answered when the buffer frees instead of polled for.
+func (c *Chip) WaitVPage(grant func(reg int)) {
+	if len(c.vpageWaiters) == 0 {
+		if reg := c.AcquireVPage(); reg >= 0 {
+			grant(reg)
+			return
+		}
+	}
+	c.vpageWaiters = append(c.vpageWaiters, grant)
+}
+
+// freeVPage releases a claimed register, handing it straight to the head
+// waiter when one is parked: the register stays claimed, now on its
+// behalf.
+func (c *Chip) freeVPage(reg int) {
+	if len(c.vpageWaiters) == 0 {
+		c.vpageInUse[reg] = false
+		return
+	}
+	if c.lostWakeups > 0 {
+		c.lostWakeups--
+		c.vpageInUse[reg] = false
+		return
+	}
+	grant := c.vpageWaiters[0]
+	c.vpageWaiters[0] = nil
+	c.vpageWaiters = c.vpageWaiters[1:]
+	grant(reg)
 }
 
 // VPageFree reports whether any V-page register is free.
@@ -482,13 +527,14 @@ func (c *Chip) VPage(reg int) Token {
 	return c.vpage[reg]
 }
 
-// ReleaseVPage frees a claimed register without committing it (abort path).
+// ReleaseVPage frees a claimed register without committing it (abort
+// path), handing it to the head waiter if one is parked.
 func (c *Chip) ReleaseVPage(reg int) {
 	c.checkVReg(reg)
 	if !c.vpageInUse[reg] {
 		panic(fmt.Sprintf("flash %s: release of unclaimed V-page register %d", c.name, reg))
 	}
-	c.vpageInUse[reg] = false
+	c.freeVPage(reg)
 }
 
 // InstallPage instantly programs a page with no simulated time, for

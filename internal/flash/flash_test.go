@@ -251,6 +251,45 @@ func TestVPageLifecycle(t *testing.T) {
 	}
 }
 
+// Transfers that find both V-page registers held park in arrival order;
+// each commit or abort hands its register straight to the head waiter,
+// and a new arrival never overtakes a parked one.
+func TestVPageWaitersServedInArrivalOrder(t *testing.T) {
+	e := sim.NewEngine()
+	c := newTestChip(e)
+	var granted []int // waiter ids, in grant order
+	var regs []int
+	park := func(id int) {
+		c.WaitVPage(func(reg int) { granted = append(granted, id); regs = append(regs, reg) })
+	}
+	park(0) // takes register 0 at once
+	park(1) // takes register 1 at once
+	park(2)
+	park(3)
+	if len(granted) != 2 || c.VPageWaiters() != 2 {
+		t.Fatalf("granted %v with %d parked, want two grants and two parked", granted, c.VPageWaiters())
+	}
+	c.ReleaseVPage(regs[1]) // abort: register 1 goes to waiter 2
+	if len(granted) != 3 || granted[2] != 2 || regs[2] != regs[1] {
+		t.Fatalf("abort did not hand register %d to waiter 2: granted %v regs %v", regs[1], granted, regs)
+	}
+	if c.VPagesHeld() != 2 {
+		t.Fatalf("%d registers held after a hand-off, want 2", c.VPagesHeld())
+	}
+	c.SetVPage(regs[0], 0xBEEF)
+	c.ProgramFromVPage(regs[0], PPA{0, 5, 0}, nil) // commit: register 0 goes to waiter 3
+	park(4)                                        // arrives behind waiter 3
+	e.Run()
+	if len(granted) != 4 || granted[3] != 3 || c.VPageWaiters() != 1 {
+		t.Fatalf("commit did not hand its register to waiter 3: granted %v, %d parked", granted, c.VPageWaiters())
+	}
+	c.ReleaseVPage(regs[2])
+	c.ReleaseVPage(regs[3])
+	if len(granted) != 5 || granted[4] != 4 || c.VPageWaiters() != 0 || c.VPagesHeld() != 1 {
+		t.Fatalf("granted %v, %d parked, %d held; want waiter 4 served and one register free", granted, c.VPageWaiters(), c.VPagesHeld())
+	}
+}
+
 func TestVPageMisusePanics(t *testing.T) {
 	e := sim.NewEngine()
 	c := newTestChip(e)

@@ -366,6 +366,48 @@ func TestWriteStallsWhenFullThenRecovers(t *testing.T) {
 	}
 }
 
+// A burst of writes on a nearly full device parks many of them at once.
+// Each parked write counts as one stall however many blocks free while
+// it waits, and every one eventually issues with its data intact.
+func TestWriteStallsCountEachParkedWriteOnce(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.GCMode = GCParallel
+	cfg.GCThreshold = 0.05
+	e, f, g := rig(cfg, 400)
+	for lpn := int64(0); lpn < 400; lpn++ {
+		f.Install(lpn, TokenFor(lpn, 0))
+	}
+	const burst = 200
+	done := 0
+	for i := 0; i < burst; i++ {
+		lpn := int64(i % 100)
+		f.Write([]int64{lpn}, []flash.Token{TokenFor(lpn, int64(1+i/100))}, func() { done++ })
+	}
+	peak := f.StalledWrites()
+	e.Run()
+	if done != burst {
+		t.Fatalf("%d of %d writes completed", done, burst)
+	}
+	st := f.Stats()
+	if peak == 0 || st.WriteStalls == 0 {
+		t.Fatal("the burst never parked a write")
+	}
+	if st.WriteStalls > burst {
+		t.Fatalf("WriteStalls = %d for %d writes: a parked write was counted more than once", st.WriteStalls, burst)
+	}
+	if f.StalledWrites() != 0 {
+		t.Fatalf("%d writes still parked after drain", f.StalledWrites())
+	}
+	for lpn := int64(0); lpn < 100; lpn++ {
+		if got := contentOf(t, f, g, lpn); got != TokenFor(lpn, 2) {
+			t.Fatalf("LPN %d holds %x, want its last write", lpn, got)
+		}
+	}
+	if err := f.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestTriggerGCPanicsWhenActive(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.GCMode = GCParallel

@@ -449,6 +449,18 @@ func wireCheck(cfg Config, eng *sim.Engine, grid *controller.Grid, fab controlle
 		})
 		return err
 	})
+	// A transfer parked for a V-page register is woken only by the commit
+	// or abort that frees one, so a lost wakeup leaves it parked in a
+	// drained engine instead of spinning.
+	ck.AddDrainCheck("vpage-waiters", func() error {
+		var err error
+		grid.ForEach(func(id controller.ChipID, c *flash.Chip) {
+			if err == nil && c.VPageWaiters() > 0 {
+				err = fmt.Errorf("chip %v has %d transfers parked for a V-page register", id, c.VPageWaiters())
+			}
+		})
+		return err
+	})
 	if inj != nil {
 		ck.AddDrainCheck("ras-balance", check.RASBalance(inj))
 	}
