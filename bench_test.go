@@ -313,8 +313,9 @@ func BenchmarkTable03Architectures(b *testing.B) {
 // BenchmarkEngineThroughput measures raw event-loop performance: 16
 // actors issuing timed holds over 4 contended resources, ~1.6M events
 // per iteration, reported as events/sec. This is the engine's pure fast
-// path (4-ary heap push/pop plus the allocation-free timed hold), with
-// no SSD model code diluting the measurement.
+// path (event queue push/pop across its same-instant lane, in-order lane
+// and 4-ary heap, plus the allocation-free timed hold), with no SSD
+// model code diluting the measurement.
 func BenchmarkEngineThroughput(b *testing.B) {
 	b.ReportAllocs()
 	var fired int64

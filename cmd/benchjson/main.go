@@ -8,9 +8,9 @@
 // -diff compares two result files metric by metric instead of running
 // anything: it prints every shared deterministic metric whose relative
 // change exceeds -threshold percent and exits 3 when any did. Wall-clock
-// metrics (ns/op, B/op, allocs/op) are excluded — they are machine noise,
-// not simulation behavior. CI uses this against the committed
-// BENCH_quick.json to flag silent metric drift.
+// metrics (ns/op, B/op, allocs/op and every per-second rate) are
+// excluded — they are machine noise, not simulation behavior. CI runs
+// this against the committed BENCH_quick.json and fails on any drift.
 //
 //	go run ./cmd/benchjson                 # writes BENCH_quick.json
 //	go run ./cmd/benchjson -o out.json -bench Fig14
@@ -120,10 +120,18 @@ func main() {
 	fmt.Printf("wrote %s: %d benchmarks\n", *out, len(file.Benchmarks))
 }
 
-// noisyMetrics are wall-clock / allocator readings that vary run to run
-// and machine to machine (events/sec is simulated events per wall
-// second — same machine dependence as ns/op); -diff ignores them.
-var noisyMetrics = map[string]bool{"ns/op": true, "B/op": true, "allocs/op": true, "events/sec": true}
+// noisyMetric reports whether a unit is a wall-clock or allocator
+// reading that varies run to run and machine to machine; -diff ignores
+// those. Besides ns/op, B/op and allocs/op that is every unit ending in
+// /sec: a rate per wall second (events/sec, serial-events/sec) has the
+// same machine dependence as ns/op.
+func noisyMetric(unit string) bool {
+	switch unit {
+	case "ns/op", "B/op", "allocs/op":
+		return true
+	}
+	return strings.HasSuffix(unit, "/sec")
+}
 
 // loadFile reads one benchjson result file.
 func loadFile(path string) (File, error) {
@@ -174,7 +182,7 @@ func diffFiles(oldPath, newPath string, threshold float64) int {
 		}
 		sort.Strings(units)
 		for _, u := range units {
-			if noisyMetrics[u] {
+			if noisyMetric(u) {
 				continue
 			}
 			ov, ok := ob.Metrics[u]

@@ -66,3 +66,50 @@ func TestDiffFiles(t *testing.T) {
 		}
 	})
 }
+
+// TestNoisyMetric: every per-second rate is wall-clock noise, whatever
+// its prefix, while simulation metrics that merely mention events or
+// rates stay deterministic and gated.
+func TestNoisyMetric(t *testing.T) {
+	for unit, want := range map[string]bool{
+		"ns/op":              true,
+		"B/op":               true,
+		"allocs/op":          true,
+		"events/sec":         true,
+		"serial-events/sec":  true,
+		"total-events":       false,
+		"16k-events-per-req": false,
+		"critpath-speedup-x": false,
+		"kiops":              false,
+		"mean-latency-us":    false,
+	} {
+		if got := noisyMetric(unit); got != want {
+			t.Errorf("noisyMetric(%q) = %v, want %v", unit, got, want)
+		}
+	}
+
+	// A wall-clock rate moving far past the threshold does not fail the
+	// diff; the same move in a deterministic metric does.
+	dir := t.TempDir()
+	oldPath := writeBench(t, dir, "old.json", []BenchResult{
+		{Name: "BenchmarkSharded", Runs: 1, Metrics: map[string]float64{
+			"serial-events/sec": 1e6, "total-events": 1000,
+		}},
+	})
+	okPath := writeBench(t, dir, "ok.json", []BenchResult{
+		{Name: "BenchmarkSharded", Runs: 1, Metrics: map[string]float64{
+			"serial-events/sec": 1.74e6, "total-events": 1000,
+		}},
+	})
+	if code := diffFiles(oldPath, okPath, 25); code != 0 {
+		t.Fatalf("serial-events/sec drift: exit %d, want 0", code)
+	}
+	badPath := writeBench(t, dir, "bad.json", []BenchResult{
+		{Name: "BenchmarkSharded", Runs: 1, Metrics: map[string]float64{
+			"serial-events/sec": 1e6, "total-events": 1740,
+		}},
+	})
+	if code := diffFiles(oldPath, badPath, 25); code != 3 {
+		t.Fatalf("total-events drift: exit %d, want 3", code)
+	}
+}

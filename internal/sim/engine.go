@@ -75,7 +75,8 @@ func (a event) before(b event) bool {
 // boxing on push/pop, and the arity-4 layout halves the tree depth so
 // sift-down touches fewer cache lines per operation. The backing array is
 // kept (and only grown) across Run loops, so a drained engine re-fills
-// its queue without reallocating.
+// its queue without reallocating. It holds only the events that neither
+// FIFO lane of the Engine can take.
 type eventHeap []event
 
 // push appends ev and sifts it up to its position.
@@ -131,6 +132,42 @@ func (h *eventHeap) popMin() event {
 	return min
 }
 
+// eventFIFO is a queue of events that arrive already sorted by before,
+// so pushing appends and popping takes the head: O(1) both ways. A
+// consumed slot is zeroed at once so its closure becomes collectable.
+// Once the consumed prefix is at least half the slice, the live events
+// move to the front and the slots they vacated are cleared, so the
+// backing array never holds stale copies and is reused without growing
+// while the queue stays shallow.
+type eventFIFO struct {
+	buf  []event
+	head int
+}
+
+func (q *eventFIFO) len() int { return len(q.buf) - q.head }
+
+func (q *eventFIFO) push(ev event) { q.buf = append(q.buf, ev) }
+
+// front returns the next event to pop; the queue must not be empty.
+func (q *eventFIFO) front() *event { return &q.buf[q.head] }
+
+// back returns the last event pushed; the queue must not be empty.
+func (q *eventFIFO) back() *event { return &q.buf[len(q.buf)-1] }
+
+func (q *eventFIFO) pop() event {
+	ev := q.buf[q.head]
+	q.buf[q.head] = event{}
+	q.head++
+	if n := len(q.buf); q.head == n {
+		q.buf, q.head = q.buf[:0], 0
+	} else if 2*q.head >= n {
+		live := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[live:])
+		q.buf, q.head = q.buf[:live], 0
+	}
+	return ev
+}
+
 // totalFired accumulates events executed across every engine in the
 // process — the feed behind the runner package's -progress reporter.
 // Engines publish in batches of firedFlushBatch events rather than per
@@ -159,20 +196,29 @@ func EventsFiredTotal() int64 { return totalFired.Load() }
 // per-shard queues) with no shared mutable state beyond the batched
 // EventsFiredTotal counter.
 type Engine struct {
-	now    Time
-	seq    int64
-	events eventHeap
-	fired  int64
+	now Time
+	seq int64
+	// Pending events live in three stores, each sorted by (at, seq):
+	// nowQ takes every event scheduled for the current instant, late
+	// takes an event at or after its own tail (the open-loop arrivals
+	// queued up front in time order), and heap takes everything else.
+	// seq only grows, so appending keeps both lanes sorted, and step
+	// fires the earliest of the three heads: the same global order a
+	// single heap gives.
+	nowQ  eventFIFO
+	late  eventFIFO
+	heap  eventHeap
+	fired int64
 	// counted is how much of fired has been published to totalFired.
 	counted int64
 	// interrupt asks the innermost RunBefore loop to return after the
 	// event currently executing — the hook ShardedEngine uses to cut an
 	// exclusive full-speed drain at the first cross-shard post.
 	interrupt bool
-	// highWater tracks the deepest the event queue has been since the
-	// last full drain; recentHW keeps the marks of the last few drained
-	// Runs so the backing array can shrink once a big-config run is
-	// provably over, not on the first quiet window after it.
+	// highWater tracks the most events pending at once since the last
+	// full drain; recentHW keeps the marks of the last few drained Runs
+	// so the backing arrays can shrink once a big-config run is provably
+	// over, not on the first quiet window after it.
 	highWater int
 	recentHW  [hwRuns]int
 	hwIdx     int
@@ -198,7 +244,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) EventsFired() int64 { return e.fired }
 
 // Pending returns the number of events waiting in the queue.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.nowQ.len() + e.late.len() + len(e.heap) }
 
 // Schedule runs fn after delay d. A negative delay panics: the model has a
 // causality bug and silently clamping it would hide the error.
@@ -218,16 +264,59 @@ func (e *Engine) At(t Time, fn func()) {
 		panic("sim: nil event function")
 	}
 	e.seq++
-	e.events.push(event{at: t, seq: e.seq, fn: fn})
-	if n := len(e.events); n > e.highWater {
+	ev := event{at: t, seq: e.seq, fn: fn}
+	switch {
+	case t == e.now:
+		e.nowQ.push(ev)
+	case e.late.len() == 0 || t >= e.late.back().at:
+		e.late.push(ev)
+	default:
+		e.heap.push(ev)
+	}
+	if n := e.Pending(); n > e.highWater {
 		e.highWater = n
 	}
 }
 
+// Event stores, as reported by peek.
+const (
+	fromNone = iota
+	fromNow
+	fromLate
+	fromHeap
+)
+
+// peek returns the next event to fire — the earliest of the three store
+// heads under before — and the store holding it, or (nil, fromNone)
+// when nothing is pending. The pointer is valid until the next push or
+// pop.
+func (e *Engine) peek() (*event, int) {
+	var best *event
+	from := fromNone
+	if e.nowQ.len() > 0 {
+		best, from = e.nowQ.front(), fromNow
+	}
+	if e.late.len() > 0 {
+		if h := e.late.front(); best == nil || h.before(*best) {
+			best, from = h, fromLate
+		}
+	}
+	if len(e.heap) > 0 {
+		if h := &e.heap[0]; best == nil || h.before(*best) {
+			best, from = h, fromHeap
+		}
+	}
+	return best, from
+}
+
 // Run executes events until the queue drains and returns the final time.
 func (e *Engine) Run() Time {
-	for len(e.events) > 0 {
-		e.step()
+	for {
+		_, from := e.peek()
+		if from == fromNone {
+			break
+		}
+		e.step(from)
 	}
 	e.FlushEventsFired()
 	e.noteDrained()
@@ -247,11 +336,11 @@ func (e *Engine) FlushEventsFired() {
 }
 
 // noteDrained records the queue's high-water mark for the Run that just
-// drained and shrinks the heap's backing array once the capacity exceeds
-// 4x the deepest queue any of the last hwRuns Runs needed. Big-config
+// drained and shrinks each store's backing array whose capacity exceeds
+// 4x the most events any of the last hwRuns Runs had pending. Big-config
 // sweeps reuse one engine across many Runs; without this, a single
-// deep-queue run pins its peak-size slice (and every event closure slot
-// in it) for the engine's remaining lifetime.
+// deep-queue run pins its peak-size slices (and every event closure slot
+// in them) for the engine's remaining lifetime.
 func (e *Engine) noteDrained() {
 	e.recentHW[e.hwIdx%hwRuns] = e.highWater
 	e.hwIdx++
@@ -261,14 +350,24 @@ func (e *Engine) noteDrained() {
 			need = hw
 		}
 	}
-	if c := cap(e.events); c >= minShrinkCap && c > 4*need {
-		e.events = make(eventHeap, 0, 2*need)
-	}
+	e.nowQ.buf = shrunk(e.nowQ.buf, need)
+	e.late.buf = shrunk(e.late.buf, need)
+	e.heap = shrunk(e.heap, need)
 	e.highWater = 0
 }
 
-// heapCap exposes the event queue's backing capacity to tests.
-func (e *Engine) heapCap() int { return cap(e.events) }
+// shrunk returns an empty slice of capacity 2*need in place of the empty
+// slice s when s's capacity is worth reclaiming, and s otherwise.
+func shrunk(s []event, need int) []event {
+	if c := cap(s); c >= minShrinkCap && c > 4*need {
+		return make([]event, 0, 2*need)
+	}
+	return s
+}
+
+// queueCap exposes the total backing capacity of the event stores to
+// tests.
+func (e *Engine) queueCap() int { return cap(e.nowQ.buf) + cap(e.late.buf) + cap(e.heap) }
 
 // RunUntil executes every event with a timestamp <= deadline, including
 // events those events schedule into the window, and returns the number of
@@ -282,8 +381,12 @@ func (e *Engine) heapCap() int { return cap(e.events) }
 // from many shards do not contend on the shared atomic.
 func (e *Engine) RunUntil(deadline Time) int64 {
 	var n int64
-	for len(e.events) > 0 && e.events[0].at <= deadline {
-		e.step()
+	for {
+		ev, from := e.peek()
+		if ev == nil || ev.at > deadline {
+			break
+		}
+		e.step(from)
 		n++
 	}
 	if e.now < deadline {
@@ -303,8 +406,12 @@ func (e *Engine) RunUntil(deadline Time) int64 {
 // that event returns.
 func (e *Engine) RunBefore(limit Time) int64 {
 	var n int64
-	for len(e.events) > 0 && e.events[0].at < limit {
-		e.step()
+	for {
+		ev, from := e.peek()
+		if ev == nil || ev.at >= limit {
+			break
+		}
+		e.step(from)
 		n++
 		if e.interrupt {
 			break
@@ -329,17 +436,28 @@ func (e *Engine) RunFor(d Time) int64 { return e.RunUntil(e.now + d) }
 // threshold as the run loops, so a caller single-stepping an engine (or
 // a window driver draining in tiny slices) still surfaces progress.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	_, from := e.peek()
+	if from == fromNone {
 		return false
 	}
-	e.step()
+	e.step(from)
 	return true
 }
 
-func (e *Engine) step() {
-	ev := e.events.popMin()
+// step pops the head of store from, which peek reported as the next
+// event, and fires it.
+func (e *Engine) step(from int) {
+	var ev event
+	switch from {
+	case fromNow:
+		ev = e.nowQ.pop()
+	case fromLate:
+		ev = e.late.pop()
+	default:
+		ev = e.heap.popMin()
+	}
 	if ev.at < e.now {
-		panic("sim: event heap corrupted")
+		panic("sim: event queue corrupted")
 	}
 	e.now = ev.at
 	e.fired++

@@ -345,19 +345,30 @@ func TestRunBefore(t *testing.T) {
 }
 
 // TestEventHeapShrinks: a run that piles up a huge queue must not pin
-// its peak-size backing array forever. After enough small drained Runs
-// push the big one out of the high-water history, capacity falls back
-// toward what the recent runs actually needed.
+// its peak-size backing arrays forever. The big run schedules its events
+// both in time order, which fills the late lane, and in reverse, which
+// fills the heap. After enough small drained Runs push the big one out
+// of the high-water history, the capacity summed over all three stores
+// falls back toward what the recent runs actually needed.
 func TestEventHeapShrinks(t *testing.T) {
 	e := NewEngine()
 	const big = 50_000
-	for i := 0; i < big; i++ {
+	for i := 1; i <= big; i++ {
 		e.Schedule(Time(i), func() {})
 	}
+	for i := big; i >= 1; i-- {
+		e.Schedule(Time(i), func() {})
+	}
+	if e.late.len() < big || len(e.heap) < big-1 {
+		t.Fatalf("late holds %d and heap %d events; want both near %d", e.late.len(), len(e.heap), big)
+	}
 	e.Run()
-	peak := e.heapCap()
-	if peak < big {
-		t.Fatalf("heap capacity %d below queue depth %d", peak, big)
+	if hw := e.recentHW[0]; hw != 2*big {
+		t.Fatalf("high-water mark %d, want every pending event (%d)", hw, 2*big)
+	}
+	peak := e.queueCap()
+	if peak < 2*big {
+		t.Fatalf("queue capacity %d below queue depth %d", peak, 2*big)
 	}
 	// hwRuns small drains age the big run out of the history window.
 	for r := 0; r < hwRuns+1; r++ {
@@ -366,8 +377,8 @@ func TestEventHeapShrinks(t *testing.T) {
 		}
 		e.Run()
 	}
-	if c := e.heapCap(); c >= peak/4 {
-		t.Fatalf("heap capacity still %d after small runs (peak %d); want < peak/4", c, peak)
+	if c := e.queueCap(); c >= peak/4 {
+		t.Fatalf("queue capacity still %d after small runs (peak %d); want < peak/4", c, peak)
 	}
 	// The engine still works after shrinking.
 	fired := 0

@@ -30,7 +30,7 @@ import (
 // Determinism: within a window, shards execute disjoint queues, so the
 // goroutine interleaving is unobservable. Mailbox deliveries happen at
 // the barrier in (window, source shard, post order) — a total order —
-// and each lands in the destination heap with an ordinary sequence
+// and each lands in the destination queue with an ordinary sequence
 // number, so ties resolve identically on every run. A ShardedEngine
 // run is bit-reproducible for a fixed shard count and partition.
 //
@@ -206,7 +206,7 @@ func (se *ShardedEngine) Post(src, dst int, d Time, fn func()) {
 	}
 }
 
-// deliver drains every mailbox into the destination heaps, in source
+// deliver drains every mailbox into the destination queues, in source
 // shard order with each source's posts kept in post order. Every target
 // time is at or beyond every destination clock (the conservative bound),
 // so At never sees the past.
@@ -224,12 +224,13 @@ func (se *ShardedEngine) deliver() {
 func (se *ShardedEngine) active() (ids []int, earliest Time) {
 	earliest = -1
 	for i, sh := range se.shards {
-		if sh.Pending() == 0 {
+		ev, _ := sh.peek()
+		if ev == nil {
 			continue
 		}
 		ids = append(ids, i)
-		if t := sh.events[0].at; earliest < 0 || t < earliest {
-			earliest = t
+		if earliest < 0 || ev.at < earliest {
+			earliest = ev.at
 		}
 	}
 	return ids, earliest
