@@ -80,7 +80,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	mapping := fs.String("mapping", "flat", "FTL mapping mode: flat (whole map in DRAM), fmmu (on-flash map with a bounded cache)")
 	mapcache := fs.Int("mapcache", 0, "with -mapping fmmu: map cache capacity in translation-page entries (0 = default 64)")
 	mapevict := fs.String("mapevict", "", "with -mapping fmmu: cache eviction policy, clock or lru (default clock)")
-	shards := fs.Int("shards", 0, "run on a partitioned engine with this many shards (0 or 1 = serial); results are byte-identical at any count")
 	list := fs.Bool("list", false, "list named traces and exit")
 	cpuProf := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProf := fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
@@ -127,10 +126,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *checkFlag {
 		cfg.Check = &check.Config{}
 	}
-	if *shards < 0 {
-		return fmt.Errorf("negative shard count %d", *shards)
-	}
-	cfg.Shards = *shards
 	if _, err := controller.ParseSchedPolicy(*sched); err != nil {
 		return err
 	}
@@ -235,8 +230,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	// Drain (serial or sharded per -shards) plus an explicit verify so a
-	// violation surfaces as a clean error instead of SSD.Run's panic.
+	// Drain plus an explicit verify so a violation surfaces as a clean
+	// error instead of SSD.Run's panic.
 	end := s.Drain()
 	if s.Checker.Enabled() {
 		if err := s.VerifyInvariants(); err != nil {

@@ -54,7 +54,6 @@ func main() {
 	outstanding := flag.Int("outstanding", 16, "outstanding depth (fixed dims; front-end inflight cap for tenants)")
 	seed := flag.Int64("seed", 1, "workload seed")
 	parallel := flag.Int("parallel", runner.Default(), "worker count for sweep points (1 = sequential)")
-	shards := flag.Int("shards", 0, "run each sweep point on a partitioned engine with this many shards (0 or 1 = serial); CSV is byte-identical at any count")
 	progress := flag.Bool("progress", false, "print completed-jobs / event-rate / ETA lines to stderr while the sweep runs")
 	cpuProf := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProf := flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
@@ -94,11 +93,7 @@ func main() {
 		mapping string // non-empty labels the FTL mapping mode
 	}
 	var pts []point
-	base := func() ssd.Config {
-		c := ssd.ScaledConfig()
-		c.Shards = *shards
-		return c
-	}
+	base := ssd.ScaledConfig
 	switch strings.ToLower(*param) {
 	case "outstanding":
 		for _, o := range []int{1, 2, 4, 8, 16, 32, 64} {

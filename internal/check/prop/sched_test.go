@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/controller"
 	"repro/internal/ssd"
-	"repro/internal/workload"
 )
 
 // TestPropertySchedulerZeroViolations crosses every scheduling policy
@@ -60,42 +59,6 @@ func TestPropertySchedulerPreservesOutcome(t *testing.T) {
 		}
 		if len(res.Violations) != 0 {
 			t.Fatalf("%v: violations %v", cc, res.Violations)
-		}
-	}
-}
-
-// TestPropertySchedulerShardsByteIdentity runs one case per policy on
-// the serial engine and on a 4-shard partitioned engine: every summary
-// byte must match.
-func TestPropertySchedulerShardsByteIdentity(t *testing.T) {
-	for _, pol := range controller.SchedPolicyNames() {
-		c := Generate(29, 1)[0]
-		c.Arch = ssd.ArchPnSSDSplit
-		c.Scheduler = pol
-		run := func(shards int) []byte {
-			cfg := c.Config()
-			cfg.Shards = shards
-			s := ssd.New(c.Arch, cfg)
-			foot := cfg.LogicalPages()
-			s.Host.Warmup(foot)
-			tr, err := workload.Named(c.Trace, foot, c.Requests, int64(c.Seed>>1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.Host.Replay(tr.Requests); err != nil {
-				t.Fatal(err)
-			}
-			s.Run()
-			var buf bytes.Buffer
-			if err := s.WriteSummaryJSON(&buf); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes()
-		}
-		serial := run(0)
-		sharded := run(4)
-		if !bytes.Equal(serial, sharded) {
-			t.Errorf("sched=%s: summary diverges between serial and -shards 4", pol)
 		}
 	}
 }

@@ -67,8 +67,7 @@ func (f *BusFabric) Grid() *Grid { return f.grid }
 
 // Lookahead implements Fabric. The bus fabrics' only non-zero latency
 // between a channel group and the SoC is the ECC pipeline (reads pay it
-// on the return path, writes before dispatch), so EccLatency is the
-// window bound.
+// on the return path, writes before dispatch), so it is EccLatency.
 func (f *BusFabric) Lookahead() sim.Time { return EccLatency }
 
 // Channel returns the h-channel for a grid row, for instrumentation.

@@ -47,15 +47,11 @@ type Fabric interface {
 	// on bus fabrics, directly flash-to-flash where the topology allows.
 	Copy(src ChipID, from flash.PPA, dst ChipID, to flash.PPA, done func())
 	// Lookahead returns the minimum non-zero latency on the fabric's
-	// cross-group data path — the ECC pipeline in front of the SoC hop,
-	// a control-plane message, a mesh link traversal — which is the
-	// conservative lockstep window bound for a partitioned run of this
-	// fabric. Note what it does NOT claim: dispatch edges (FTL handing
-	// an op to a channel, a completion callback entering FTL
-	// bookkeeping) are synchronous, so any state those edges touch must
-	// share a shard; the partition planner keeps that whole reactive
-	// complex together and Lookahead bounds only the residual mailbox
-	// traffic between shards.
+	// cross-group data path: the ECC pipeline in front of the SoC hop, a
+	// control-plane message, or a mesh link traversal. The simulator
+	// itself no longer reads it. It stays on the interface only because
+	// the simbench tracing wrapper delegates to it, and that module is
+	// changed only together with its benchmark.
 	Lookahead() sim.Time
 }
 
@@ -172,8 +168,7 @@ func (s *Soc) Idle() bool {
 func (s *Soc) CtrlMsg(fn func()) { s.eng.Schedule(s.ctrlMsgDelay, fn) }
 
 // CtrlMsgLatency returns the current control-plane message latency.
-// Fabrics whose cross-group coordination rides CtrlMsg fold it into
-// their Lookahead bound.
+// The Omnibus fabric folds it into its Lookahead bound.
 func (s *Soc) CtrlMsgLatency() sim.Time { return s.ctrlMsgDelay }
 
 // SetCtrlMsgLatency overrides the control-plane message latency, for the

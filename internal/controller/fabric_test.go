@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/flash"
+	"repro/internal/mesh"
 	"repro/internal/sim"
 )
 
@@ -209,4 +210,26 @@ func TestDedicatedRequires8Bits(t *testing.T) {
 		}
 	}()
 	NewBusFabric(e, "bad", g, soc, 16384, 16, 1000, false)
+}
+
+// TestFabricLookahead pins each fabric's minimum cross-group latency:
+// the ECC pipeline on the bus fabrics, the smaller of ECC and the
+// control-plane message on Omnibus (zero once an ablation zeroes the
+// message latency), and the smaller of ECC and a router hop on the mesh.
+func TestFabricLookahead(t *testing.T) {
+	e, g, soc := testRig(2, 2)
+	if got := NewBusFabric(e, "base", g, soc, 16384, 8, 1000, false).Lookahead(); got != EccLatency {
+		t.Fatalf("bus lookahead %v, want EccLatency %v", got, EccLatency)
+	}
+	omni := newOmnibus(e, g, soc, false)
+	if got, want := omni.Lookahead(), min(EccLatency, DefaultCtrlMsgLatency); got != want {
+		t.Fatalf("omnibus lookahead %v, want %v", got, want)
+	}
+	soc.SetCtrlMsgLatency(0)
+	if got := omni.Lookahead(); got != 0 {
+		t.Fatalf("omnibus lookahead %v after zeroing the control-plane latency, want 0", got)
+	}
+	if got, want := NewMeshFabric(e, "nossd", g, soc, 16384, 8, 1000).Lookahead(), min(EccLatency, mesh.DefaultHopLatency); got != want {
+		t.Fatalf("mesh lookahead %v, want %v", got, want)
+	}
 }

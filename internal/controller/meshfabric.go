@@ -40,8 +40,8 @@ func (f *MeshFabric) Name() string { return f.name }
 
 // Lookahead implements Fabric. Mesh rows interact with each other and
 // with the controller through router hops (plus the ECC pipeline on the
-// controller edge), so the window bound is the smaller of the hop
-// traversal and EccLatency.
+// controller edge), so the bound is the smaller of the hop traversal and
+// EccLatency.
 func (f *MeshFabric) Lookahead() sim.Time {
 	if d := f.m.HopLatency(); d < EccLatency {
 		return d

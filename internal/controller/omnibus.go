@@ -128,10 +128,9 @@ func (f *OmnibusFabric) Name() string { return f.name }
 
 // Lookahead implements Fabric. Omnibus channel groups coordinate both
 // through the ECC pipeline in front of the SoC and through control-plane
-// request/grant messages, so the window bound is the smaller of the two.
-// The control-plane sensitivity ablation can drive CtrlMsgLatency to
-// zero; the SSD layer detects the resulting zero bound and falls back to
-// a serial run rather than fake a lookahead the model no longer has.
+// request/grant messages, so the bound is the smaller of the two. The
+// control-plane sensitivity ablation can drive CtrlMsgLatency, and with
+// it the bound, to zero.
 func (f *OmnibusFabric) Lookahead() sim.Time {
 	if d := f.soc.CtrlMsgLatency(); d < EccLatency {
 		return d

@@ -179,7 +179,7 @@ type schedOp struct {
 // semantics — and entirely synchronous: every scheduling decision runs
 // inside the enqueue call or a completion callback, so it schedules no
 // engine events of its own and inherits the wrapped fabric's determinism
-// (including byte-identity at any -parallel and -shards setting).
+// (including byte-identity at any -parallel setting).
 //
 // With SchedFIFO the wrapper issues every transaction immediately in
 // arrival order — the exact event sequence of an unwrapped fabric — so

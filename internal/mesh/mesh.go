@@ -92,8 +92,7 @@ func (m *Mesh) Size() (w, h int) { return m.w, m.h }
 func (m *Mesh) WidthBits() int { return m.widthBits }
 
 // HopLatency returns the per-hop router traversal latency — the minimum
-// delay separating any two mesh nodes, and therefore the lookahead bound
-// a partitioned run derives from this interconnect.
+// delay separating any two mesh nodes, which MeshFabric.Lookahead reports.
 func (m *Mesh) HopLatency() sim.Time { return m.hopLatency }
 
 // Link returns the directed link between adjacent nodes; it panics when

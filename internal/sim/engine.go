@@ -171,15 +171,14 @@ func (q *eventFIFO) pop() event {
 // totalFired accumulates events executed across every engine in the
 // process — the feed behind the runner package's -progress reporter.
 // Engines publish in batches of firedFlushBatch events rather than per
-// event (plus one unconditional flush when a full Run drains), so N
-// engines stepping in lockstep windows — each window a short RunUntil or
-// RunBefore call — cost one atomic add per ~8k events each instead of
-// one per call, and the hot step loop stays contention-free.
+// event (plus one unconditional flush when a full Run drains), so the
+// runner's concurrent per-job engines cost one atomic add per ~8k events
+// each and the hot step loop stays contention-free.
 var totalFired atomic.Int64
 
 // firedFlushBatch is the unpublished-event threshold at which an engine
-// pushes its delta to totalFired. Large enough that per-window drains
-// from many shards don't contend on the atomic; small enough that
+// pushes its delta to totalFired. Large enough that engines running on
+// many goroutines don't contend on the atomic; small enough that
 // -progress never lags a live engine by more than a blink.
 const firedFlushBatch = 8192
 
@@ -192,9 +191,8 @@ func EventsFiredTotal() int64 { return totalFired.Load() }
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
 // concurrent use; all model code runs inside event callbacks. Distinct
 // engines are independent: N goroutines may each drive their own engine
-// concurrently (the runner's per-job engines, or ShardedEngine's
-// per-shard queues) with no shared mutable state beyond the batched
-// EventsFiredTotal counter.
+// concurrently (the runner's per-job engines) with no shared mutable
+// state beyond the batched EventsFiredTotal counter.
 type Engine struct {
 	now Time
 	seq int64
@@ -211,10 +209,6 @@ type Engine struct {
 	fired int64
 	// counted is how much of fired has been published to totalFired.
 	counted int64
-	// interrupt asks the innermost RunBefore loop to return after the
-	// event currently executing — the hook ShardedEngine uses to cut an
-	// exclusive full-speed drain at the first cross-shard post.
-	interrupt bool
 	// highWater tracks the most events pending at once since the last
 	// full drain; recentHW keeps the marks of the last few drained Runs
 	// so the backing arrays can shrink once a big-config run is provably
@@ -318,21 +312,14 @@ func (e *Engine) Run() Time {
 		}
 		e.step(from)
 	}
-	e.FlushEventsFired()
-	e.noteDrained()
-	return e.now
-}
-
-// FlushEventsFired publishes any events fired since the last flush to the
-// process-wide EventsFiredTotal counter, regardless of the batching
-// threshold. Run calls it at every full drain; window drivers
-// (ShardedEngine) call it once per simulation so the final census is
-// exact even when every window stayed under the batch size.
-func (e *Engine) FlushEventsFired() {
+	// Publish whatever the batching threshold held back, so the census
+	// is exact at every full drain.
 	if d := e.fired - e.counted; d > 0 {
 		totalFired.Add(d)
 		e.counted = e.fired
 	}
+	e.noteDrained()
+	return e.now
 }
 
 // noteDrained records the queue's high-water mark for the Run that just
@@ -377,8 +364,7 @@ func (e *Engine) queueCap() int { return cap(e.nowQ.buf) + cap(e.late.buf) + cap
 // event fired at all), and an event scheduled exactly at the deadline
 // does fire. If the deadline precedes the current clock, nothing fires
 // and the clock is unchanged. EventsFiredTotal publication rides the
-// batching threshold (see EventsFiredTotal), so windowed lockstep drains
-// from many shards do not contend on the shared atomic.
+// batching threshold (see EventsFiredTotal).
 func (e *Engine) RunUntil(deadline Time) int64 {
 	var n int64
 	for {
@@ -395,46 +381,13 @@ func (e *Engine) RunUntil(deadline Time) int64 {
 	return n
 }
 
-// RunBefore executes every event with a timestamp strictly before limit
-// and returns the number fired. Unlike RunUntil it never forces the
-// clock forward: on return Now is the timestamp of the last event
-// executed, so a windowed drive that ends on a window boundary leaves
-// the clock — and every Now-derived statistic — exactly where a single
-// uninterrupted Run would have. It is the window primitive of the
-// sharded engine: conservative lockstep runs each shard RunBefore(T+W).
-// An Interrupt call from inside an executing event stops the loop after
-// that event returns.
-func (e *Engine) RunBefore(limit Time) int64 {
-	var n int64
-	for {
-		ev, from := e.peek()
-		if ev == nil || ev.at >= limit {
-			break
-		}
-		e.step(from)
-		n++
-		if e.interrupt {
-			break
-		}
-	}
-	e.interrupt = false
-	return n
-}
-
-// Interrupt asks the innermost RunBefore loop to return after the event
-// currently executing completes. It must be called from model code
-// running inside that event (the engine is single-threaded); it is a
-// no-op outside RunBefore. ShardedEngine uses it to cut an exclusive
-// full-speed drain the moment a cross-shard message appears.
-func (e *Engine) Interrupt() { e.interrupt = true }
-
 // RunFor advances the clock by d, executing everything due in the window.
 func (e *Engine) RunFor(d Time) int64 { return e.RunUntil(e.now + d) }
 
 // Step executes exactly one event if any is pending, reporting whether one
 // fired. Fired events feed EventsFiredTotal through the same batching
-// threshold as the run loops, so a caller single-stepping an engine (or
-// a window driver draining in tiny slices) still surfaces progress.
+// threshold as the run loops, so a caller single-stepping an engine
+// still surfaces progress.
 func (e *Engine) Step() bool {
 	_, from := e.peek()
 	if from == fromNone {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -247,10 +248,10 @@ func TestEngineOrderProperty(t *testing.T) {
 
 // TestEventsFiredTotal: engines publish their fired-event delta to the
 // process-wide counter in firedFlushBatch batches plus one unconditional
-// flush at every full Run drain. Partial drains (RunUntil, RunBefore,
-// Step) below the batch size publish nothing — that is what keeps N
-// shards doing per-window drains off the shared atomic — and a
-// re-drained engine publishes nothing twice.
+// flush at every full Run drain. Partial drains (RunUntil, Step) below
+// the batch size publish nothing — that is what keeps concurrent engines
+// off the shared atomic — and a re-drained engine publishes nothing
+// twice.
 func TestEventsFiredTotal(t *testing.T) {
 	before := EventsFiredTotal()
 	e := NewEngine()
@@ -283,8 +284,8 @@ func TestEventsFiredTotal(t *testing.T) {
 
 // TestEventsFiredTotalBatchThreshold: once an engine accumulates
 // firedFlushBatch unpublished events, the very next event publishes the
-// batch even though no Run has drained — the fix for windowed lockstep
-// drives (and single-stepping) starving the -progress feed.
+// batch even though no Run has drained, so windowed drives (and
+// single-stepping) never starve the -progress feed.
 func TestEventsFiredTotalBatchThreshold(t *testing.T) {
 	before := EventsFiredTotal()
 	e := NewEngine()
@@ -297,9 +298,9 @@ func TestEventsFiredTotalBatchThreshold(t *testing.T) {
 		}
 	}
 	e.Schedule(1, tick)
-	// Drive entirely through RunBefore windows, never a full Run.
+	// Drive entirely through RunUntil windows, never a full Run.
 	for e.Pending() > 0 && e.Now() < Time(firedFlushBatch) {
-		e.RunBefore(e.Now() + 100)
+		e.RunUntil(e.Now() + 100)
 	}
 	if got := EventsFiredTotal() - before; got < firedFlushBatch {
 		t.Fatalf("windowed drive published %d events, want >= %d (batch threshold)", got, firedFlushBatch)
@@ -310,37 +311,55 @@ func TestEventsFiredTotalBatchThreshold(t *testing.T) {
 	}
 }
 
-// TestRunBefore pins the window primitive's contract: strictly-before
-// semantics, no forced clock advance, and interruption.
-func TestRunBefore(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	for _, d := range []Time{5, 10, 15} {
-		d := d
-		e.Schedule(d, func() { fired = append(fired, d) })
+// TestEventsFiredTotalConcurrentEngines: N goroutine-local engines drain
+// concurrently — the shape of the runner's per-job engines — and the
+// shared counter must end exactly at the sum, with concurrent readers
+// racing the batched writers. Run under -race in CI.
+func TestEventsFiredTotalConcurrentEngines(t *testing.T) {
+	const (
+		goroutines = 8
+		perEngine  = 3 * firedFlushBatch / 2 // crosses the batch threshold mid-run
+	)
+	before := EventsFiredTotal()
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() { // concurrent reader
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if EventsFiredTotal() < before {
+					panic("EventsFiredTotal went backwards")
+				}
+			}
+		}
+	}()
+	var engines sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		engines.Add(1)
+		go func() {
+			defer engines.Done()
+			e := NewEngine()
+			n := 0
+			var tick func()
+			tick = func() {
+				n++
+				if n < perEngine {
+					e.Schedule(Nanosecond, tick)
+				}
+			}
+			e.Schedule(Nanosecond, tick)
+			e.Run()
+		}()
 	}
-	if n := e.RunBefore(10); n != 1 {
-		t.Fatalf("RunBefore(10) fired %d events, want 1 (strictly before)", n)
-	}
-	if e.Now() != 5 {
-		t.Fatalf("clock forced to %v, want 5 (last executed event)", e.Now())
-	}
-	if n := e.RunBefore(11); n != 1 {
-		t.Fatalf("RunBefore(11) fired %d events, want 1", n)
-	}
-	if n := e.RunBefore(100); n != 1 || e.Now() != 15 {
-		t.Fatalf("final window fired %d events at now=%v, want 1 at 15", n, e.Now())
-	}
-
-	// Interrupt stops the loop after the current event.
-	var order []int
-	e.Schedule(1, func() { order = append(order, 1); e.Interrupt() })
-	e.Schedule(2, func() { order = append(order, 2) })
-	if n := e.RunBefore(100); n != 1 {
-		t.Fatalf("interrupted RunBefore fired %d events, want 1", n)
-	}
-	if n := e.RunBefore(100); n != 1 || len(order) != 2 {
-		t.Fatalf("resume after interrupt fired %d events (order %v), want the remaining 1", n, order)
+	engines.Wait()
+	close(stop)
+	wg.Wait()
+	if got := EventsFiredTotal() - before; got != goroutines*perEngine {
+		t.Fatalf("concurrent engines published %d events, want %d", got, goroutines*perEngine)
 	}
 }
 

@@ -10,15 +10,9 @@ import (
 // on two contended resources, manual acquire/release pairs, nested
 // scheduling, and a RunUntil cut — and serializes the exact firing order
 // as "id@time" tokens. The script is driven by an inline LCG so it never
-// depends on math/rand internals. The engine to drive and the final drain
-// are injected so the identical script can run on a bare Engine and on a
-// ShardedEngine wrapping one (TestShardedGoldenSequence).
+// depends on math/rand internals.
 func goldenRun() string {
 	e := NewEngine()
-	return goldenScript(e, e.Run)
-}
-
-func goldenScript(e *Engine, run func() Time) string {
 	var sb strings.Builder
 	rec := func(id string, arg int) { fmt.Fprintf(&sb, "%s%d@%d;", id, arg, int64(e.Now())) }
 
@@ -60,7 +54,7 @@ func goldenScript(e *Engine, run func() Time) string {
 	})
 	n := e.RunUntil(90)
 	rec("cut", int(n))
-	run()
+	e.Run()
 	fmt.Fprintf(&sb, "fired=%d now=%d busyA=%d busyB=%d waitA=%d waitB=%d",
 		e.EventsFired(), int64(e.Now()),
 		int64(rA.TotalBusy()), int64(rB.TotalBusy()),
@@ -77,22 +71,6 @@ func TestEngineGoldenSequence(t *testing.T) {
 	got := goldenRun()
 	if got != goldenWant {
 		t.Fatalf("event sequence diverged from golden:\n got: %s\nwant: %s", got, goldenWant)
-	}
-}
-
-// TestShardedGoldenSequence pins the shards=1 degenerate case of the
-// partitioned engine to the exact serial golden string: a ShardedEngine
-// wrapping one shard must replay the reference workload event for event,
-// byte for byte — the sim-level anchor of the "sharding never changes
-// results" contract.
-func TestShardedGoldenSequence(t *testing.T) {
-	se := NewShardedEngine(1, 500*Nanosecond)
-	got := goldenScript(se.Shard(0), se.Run)
-	if got != goldenWant {
-		t.Fatalf("sharded(1) sequence diverged from serial golden:\n got: %s\nwant: %s", got, goldenWant)
-	}
-	if se.Windows() != 0 || se.CrossPosts() != 0 {
-		t.Fatalf("single-shard run used %d windows / %d cross posts, want 0/0", se.Windows(), se.CrossPosts())
 	}
 }
 

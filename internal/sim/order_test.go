@@ -11,15 +11,13 @@ import (
 // against: one slice kept sorted by (at, seq), with the engine's
 // documented run-loop contracts written out naively.
 type refQueue struct {
-	now       Time
-	seq       int64
-	evs       []event
-	interrupt bool
+	now Time
+	seq int64
+	evs []event
 }
 
 func (q *refQueue) Now() Time    { return q.now }
 func (q *refQueue) Pending() int { return len(q.evs) }
-func (q *refQueue) Interrupt()   { q.interrupt = true }
 
 func (q *refQueue) At(t Time, fn func()) {
 	if t < q.now {
@@ -62,19 +60,6 @@ func (q *refQueue) RunUntil(deadline Time) int64 {
 	return n
 }
 
-func (q *refQueue) RunBefore(limit Time) int64 {
-	var n int64
-	for len(q.evs) > 0 && q.evs[0].at < limit {
-		q.step()
-		n++
-		if q.interrupt {
-			break
-		}
-	}
-	q.interrupt = false
-	return n
-}
-
 func (q *refQueue) Step() bool {
 	if len(q.evs) == 0 {
 		return false
@@ -91,9 +76,7 @@ type orderQueue interface {
 	At(t Time, fn func())
 	Run() Time
 	RunUntil(deadline Time) int64
-	RunBefore(limit Time) int64
 	Step() bool
-	Interrupt()
 }
 
 // orderScript drives q through a seeded random schedule and returns one
@@ -109,7 +92,6 @@ func orderScript(q orderQueue, seed int64) []string {
 	rng := rand.New(rand.NewSource(seed))
 	var log []string
 	var maxAt Time
-	inRunBefore := false
 	id := 0
 
 	var schedule func()
@@ -142,8 +124,6 @@ func orderScript(q orderQueue, seed int64) []string {
 			case r < 10:
 				schedule()
 				schedule()
-			case r == 19 && inRunBefore:
-				q.Interrupt()
 			}
 		})
 	}
@@ -156,17 +136,12 @@ func orderScript(q orderQueue, seed int64) []string {
 			schedule()
 		}
 		var res string
-		switch rng.Intn(4) {
+		switch rng.Intn(3) {
 		case 0:
 			res = fmt.Sprintf("Step %v", q.Step())
 		case 1:
 			d := q.Now() + Time(rng.Intn(60)) - 5
 			res = fmt.Sprintf("RunUntil(%d) %d", d, q.RunUntil(d))
-		case 2:
-			l := q.Now() + Time(rng.Intn(60)) - 5
-			inRunBefore = true
-			res = fmt.Sprintf("RunBefore(%d) %d", l, q.RunBefore(l))
-			inRunBefore = false
 		default:
 			if rng.Intn(10) == 0 {
 				res = fmt.Sprintf("Run %d", q.Run())
@@ -200,37 +175,5 @@ func TestEngineOrderMatchesReference(t *testing.T) {
 		if e.fired < 1000 {
 			t.Fatalf("seed %d fired only %d events; the script should exercise more", seed, e.fired)
 		}
-	}
-}
-
-// TestShardedActiveSeesLanes: a shard whose earliest event sits in a
-// FIFO lane rather than the heap is still found active, with the right
-// earliest time, and the sharded run fires each shard's events in time
-// order.
-func TestShardedActiveSeesLanes(t *testing.T) {
-	se := NewShardedEngine(2, 100)
-	// Shards run windows on separate goroutines: one log per shard.
-	var fired [2][]Time
-	rec := func(sh int) func() {
-		return func() { fired[sh] = append(fired[sh], se.Shard(sh).Now()) }
-	}
-	// Shard 0: 300 lands in late, then 200 goes to the heap.
-	se.Shard(0).At(300, rec(0))
-	se.Shard(0).At(200, rec(0))
-	// Shard 1: its only events are in lanes, nowQ at 0 and late at 150.
-	se.Shard(1).At(0, rec(1))
-	se.Shard(1).At(150, rec(1))
-	if sh := se.Shard(1); len(sh.heap) != 0 || sh.nowQ.len() != 1 || sh.late.len() != 1 {
-		t.Fatalf("shard 1 stores: nowQ %d late %d heap %d; want 1, 1, 0", sh.nowQ.len(), sh.late.len(), len(sh.heap))
-	}
-	ids, earliest := se.active()
-	if len(ids) != 2 || earliest != 0 {
-		t.Fatalf("active() = %v, earliest %d; want both shards, earliest 0", ids, earliest)
-	}
-	if end := se.Run(); end != 300 {
-		t.Fatalf("Run ended at %d, want 300", end)
-	}
-	if got, want := fmt.Sprint(fired), "[[200ps 300ps] [0ps 150ps]]"; got != want {
-		t.Fatalf("per-shard firing times %s, want %s", got, want)
 	}
 }

@@ -2,24 +2,69 @@ package ssd
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/check"
 	"repro/internal/controller"
 	"repro/internal/ftl"
+	"repro/internal/sim"
+	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
+
+// deviceArtifacts runs the fully instrumented determinism workload —
+// GC-heavy SpGC on pnSSD+split with tracing, the invariant checker, and
+// telemetry all live — with tweak (if non-nil) applied to the config,
+// and returns every byte-addressable artifact: the run summary JSON, the
+// Chrome trace export, and the telemetry document.
+func deviceArtifacts(t *testing.T, tweak func(*Config)) (summary, chrome, tel []byte, s *SSD) {
+	t.Helper()
+	cfg := tinyConfig()
+	cfg.FTL.GCMode = ftl.GCSpatial
+	cfg.LogicalUtilization = 0.75
+	cfg.Trace = &trace.Config{Window: 100 * sim.Microsecond}
+	cfg.Check = &check.Config{}
+	cfg.Telemetry = &telemetry.Config{Window: 100 * sim.Microsecond}
+	if tweak != nil {
+		tweak(&cfg)
+	}
+	s = New(ArchPnSSDSplit, cfg)
+	foot := s.Config.LogicalPages()
+	s.Host.Warmup(foot)
+	tr, err := workload.Named("exchange-1", foot, 400, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Host.MustReplay(tr.Requests)
+	end := s.Run() // checker enabled: a violation panics
+
+	var sb bytes.Buffer
+	if err := s.WriteSummaryJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var cb bytes.Buffer
+	if err := s.Tracer.ExportChrome(&cb); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := json.MarshalIndent(s.Telemetry.Summary(end), "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sb.Bytes(), cb.Bytes(), doc, s
+}
 
 // TestSchedulerFIFOByteIdentical pins the default-path contract of the
 // scheduling refactor: Scheduler "" and "fifo" both leave the fabric
 // unwrapped, so the whole artifact set — summary, trace, telemetry —
 // matches today's output byte for byte.
 func TestSchedulerFIFOByteIdentical(t *testing.T) {
-	refSummary, refChrome, refTel, ref := shardedArtifacts(t, 0, "")
+	refSummary, refChrome, refTel, ref := deviceArtifacts(t, nil)
 	if ref.Sched != nil {
 		t.Fatal("default config built a scheduling layer")
 	}
-	summary, chrome, tel, s := shardedArtifacts(t, 0, "fifo")
+	summary, chrome, tel, s := deviceArtifacts(t, func(c *Config) { c.Scheduler = "fifo" })
 	if s.Sched != nil {
 		t.Fatal("explicit fifo built a scheduling layer")
 	}
@@ -28,35 +73,6 @@ func TestSchedulerFIFOByteIdentical(t *testing.T) {
 	}
 	if bytes.Contains(refSummary, []byte("\"scheduler\"")) {
 		t.Fatal("default summary leaks scheduler fields")
-	}
-}
-
-// TestShardsByteIdentitySched extends the shard-identity contract to the
-// non-FIFO policies: for conflict and ooo, serial vs 4-shard runs agree
-// on every artifact byte, with the checker (including the new scheduler
-// ledger) clean throughout.
-func TestShardsByteIdentitySched(t *testing.T) {
-	for _, sched := range []string{"conflict", "ooo"} {
-		refSummary, refChrome, refTel, ref := shardedArtifacts(t, 0, sched)
-		if ref.Sched == nil {
-			t.Fatalf("sched=%s: no scheduling layer built", sched)
-		}
-		summary, chrome, tel, _ := shardedArtifacts(t, 4, sched)
-		if !bytes.Equal(summary, refSummary) {
-			t.Fatalf("sched=%s: summary diverges between serial and shards=4", sched)
-		}
-		if !bytes.Equal(chrome, refChrome) {
-			t.Fatalf("sched=%s: Chrome trace diverges between serial and shards=4", sched)
-		}
-		if !bytes.Equal(tel, refTel) {
-			t.Fatalf("sched=%s: telemetry diverges between serial and shards=4", sched)
-		}
-		if !bytes.Contains(refSummary, []byte(`"scheduler": "`+sched+`"`)) {
-			t.Fatalf("sched=%s: summary does not report the policy", sched)
-		}
-		if !ref.Sched.Quiesced() {
-			t.Fatalf("sched=%s: scheduler not quiesced after drain", sched)
-		}
 	}
 }
 
@@ -101,6 +117,9 @@ func TestSchedulerWiring(t *testing.T) {
 	if sum.SchedDeferred == 0 {
 		t.Fatal("GC-heavy split workload never deferred a conflicting path")
 	}
+	if !s.Sched.Quiesced() {
+		t.Fatal("conflict scheduler not quiesced after drain")
+	}
 
 	// ooo wiring: the window is enforced, so the checker must have seen
 	// in-window issues only (a violation would have panicked above).
@@ -114,6 +133,9 @@ func TestSchedulerWiring(t *testing.T) {
 	s2.Run()
 	if sum2 := s2.Summarize(); sum2.Scheduler != "ooo" || sum2.SchedReordered == 0 {
 		t.Fatalf("ooo summary = %q reordered=%d, want reorders under load", sum2.Scheduler, sum2.SchedReordered)
+	}
+	if !s2.Sched.Quiesced() {
+		t.Fatal("ooo scheduler not quiesced after drain")
 	}
 }
 
