@@ -14,8 +14,10 @@ import (
 	"testing"
 
 	"repro/internal/array"
+	"repro/internal/controller"
 	"repro/internal/exp"
 	"repro/internal/fault"
+	"repro/internal/flash"
 	"repro/internal/ftl"
 	"repro/internal/sim"
 	"repro/internal/ssd"
@@ -455,6 +457,78 @@ func BenchmarkResourceHold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r.Use(10, nil)
 		e.Run()
+	}
+}
+
+// fabricRig builds a 2×2 grid of one-plane chips with page 0 of block 0
+// on chip (0,0) programmed: the source of the fabric microbenchmarks.
+func fabricRig() (*sim.Engine, *controller.Grid, *controller.Soc) {
+	e := sim.NewEngine()
+	geo := flash.Geometry{Planes: 1, BlocksPerPlane: 4, PagesPerBlock: 64, PageSize: 16384}
+	g := controller.NewGrid(e, 2, 2, geo, flash.ULLTiming())
+	g.Chip(controller.ChipID{}).InstallPage(flash.PPA{}, 1)
+	return e, g, controller.NewSoc(e, 8000, 8000)
+}
+
+// benchFabricRead times one page read through a fabric — channel
+// command, tR, readout, ECC and the SoC hop into DRAM — from issue to
+// done, after a warm-up, so allocs/op is the data path's steady state.
+func benchFabricRead(b *testing.B, e *sim.Engine, f controller.Fabric) {
+	ppas := []flash.PPA{{}}
+	done := func() {}
+	for i := 0; i < 4; i++ {
+		f.Read(controller.ChipID{}, ppas, done)
+		e.Run()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.Read(controller.ChipID{}, ppas, done)
+		e.Run()
+	}
+}
+
+// BenchmarkBusFabricRead is benchFabricRead on the pSSD bus fabric.
+func BenchmarkBusFabricRead(b *testing.B) {
+	e, g, soc := fabricRig()
+	benchFabricRead(b, e, controller.NewBusFabric(e, "pssd", g, soc, 16384, 16, 1000, true))
+}
+
+// BenchmarkOmnibusRead is benchFabricRead on the pnSSD Omnibus fabric
+// without split transfers: the idle h-channel carries the page back.
+func BenchmarkOmnibusRead(b *testing.B) {
+	e, g, soc := fabricRig()
+	benchFabricRead(b, e, controller.NewOmnibusFabric(e, "pnssd", g, soc, 16384, 8, 1000, false))
+}
+
+// BenchmarkBusFabricCopy times one GC page copy on the pSSD bus fabric:
+// read through the source channel into DRAM, write out through the
+// destination channel. Each copy lands on the next erased page of the
+// destination block; once the block is full it is erased, one erase per
+// 64 copies.
+func BenchmarkBusFabricCopy(b *testing.B) {
+	e, g, soc := fabricRig()
+	f := controller.NewBusFabric(e, "pssd", g, soc, 16384, 16, 1000, true)
+	src, dst := controller.ChipID{}, controller.ChipID{Channel: 1}
+	block := []flash.PPA{{}}
+	done := func() {}
+	page := 0
+	copyOne := func() {
+		f.Copy(src, flash.PPA{}, dst, flash.PPA{Page: page}, done)
+		e.Run()
+		if page++; page == 64 {
+			page = 0
+			f.Erase(dst, block, done)
+			e.Run()
+		}
+	}
+	for i := 0; i < 4; i++ {
+		copyOne()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copyOne()
 	}
 }
 

@@ -108,7 +108,35 @@ type Soc struct {
 	sysBusPsByte sim.Time
 	dramPsByte   sim.Time
 	ctrlMsgDelay sim.Time
+
+	xfers sim.FreeList[socXfer]
 }
+
+// socXfer is one Transfer between its system-bus and DRAM holds. Its
+// stage is bound once, when the record is built, so a transfer schedules
+// no closure; the record is recycled as the DRAM hold is queued.
+type socXfer struct {
+	s        *Soc
+	n        int
+	done     func()
+	toDRAMFn func() // bound toDRAM
+}
+
+// toDRAM runs when the system-bus hold ends: recycle the record, then
+// queue the DRAM hold, which carries done.
+func (x *socXfer) toDRAM() {
+	s, d, done := x.s, sim.Time(x.n)*x.s.dramPsByte, x.done
+	x.done = nil
+	s.xfers.Put(x)
+	s.dram.UseLabeled("xfer", d, done)
+}
+
+// recordPoolCap is how many idle transaction records the SoC and each
+// fabric keep for reuse. Each serves the whole grid, and a GC round
+// starts a copy on every chip at once, so the cap is four records per
+// chip of the 8×8 grid: at most about 250 KB per owner stays pinned
+// after a deep queue drains.
+const recordPoolCap = 256
 
 // DefaultCtrlMsgLatency is the one-way latency of a control-plane message
 // between two channel controllers over the SoC interconnect.
@@ -121,7 +149,7 @@ func NewSoc(eng *sim.Engine, sysBusMBps, dramMBps int) *Soc {
 	if sysBusMBps <= 0 || dramMBps <= 0 {
 		panic("controller: non-positive SoC bandwidth")
 	}
-	return &Soc{
+	s := &Soc{
 		eng:          eng,
 		sysBus:       sim.NewResource(eng, "sysbus"),
 		dram:         sim.NewResource(eng, "dram"),
@@ -129,6 +157,12 @@ func NewSoc(eng *sim.Engine, sysBusMBps, dramMBps int) *Soc {
 		dramPsByte:   sim.Time(1_000_000 / dramMBps),
 		ctrlMsgDelay: DefaultCtrlMsgLatency,
 	}
+	s.xfers = sim.NewFreeList(recordPoolCap, func() *socXfer {
+		x := &socXfer{s: s}
+		x.toDRAMFn = x.toDRAM
+		return x
+	})
+	return s
 }
 
 // Transfer moves n bytes across the system bus and into/out of DRAM as a
@@ -137,9 +171,9 @@ func (s *Soc) Transfer(n int, done func()) {
 	if n < 0 {
 		panic("controller: negative SoC transfer")
 	}
-	s.sysBus.UseLabeled("xfer", sim.Time(n)*s.sysBusPsByte, func() {
-		s.dram.UseLabeled("xfer", sim.Time(n)*s.dramPsByte, done)
-	})
+	x := s.xfers.Get()
+	x.n, x.done = n, done
+	s.sysBus.UseLabeled("xfer", sim.Time(n)*s.sysBusPsByte, x.toDRAMFn)
 }
 
 // SetObserver attaches a hold/queue observer to the system bus and DRAM

@@ -68,6 +68,8 @@ type OmnibusFabric struct {
 	// counters for reports and tests
 	hReturns, vReturns, splitReturns int64
 	directCopies, relayedCopies      int64
+
+	ops sim.FreeList[omniOp]
 }
 
 // NewOmnibusFabric builds the Omnibus fabric. Table II: 8 h-channels and
@@ -103,6 +105,7 @@ func NewOmnibusFabricAsym(eng *sim.Engine, name string, grid *Grid, soc *Soc, pa
 		colsPerV: colsPerV,
 		route:    RouteGreedy,
 	}
+	f.ops = sim.NewFreeList(recordPoolCap, f.newOp)
 	for ch := 0; ch < grid.Channels; ch++ {
 		f.h[ch] = bus.NewChannel(eng, fmt.Sprintf("%s/h%d", name, ch), hWidthBits, rateMTps)
 		f.hIface[ch] = bus.NewPacketized(f.h[ch])
@@ -273,44 +276,130 @@ func (f *OmnibusFabric) PathCounts() (h, v, split, direct, relayed int64) {
 	return f.hReturns, f.vReturns, f.splitReturns, f.directCopies, f.relayedCopies
 }
 
+// omniOp is one Omnibus read, write, erase or direct page copy in
+// flight, a copy from its grant request on: its chip, the row's
+// h-channel and the column's v-channel, its payload, and its stages as
+// method values bound once when the record is built, so a transaction
+// schedules no closures. A split transfer joins its two halves on a
+// counter in the record. The record goes back to the fabric's free list
+// before done can run.
+type omniOp struct {
+	f          *OmnibusFabric
+	id         ChipID
+	hch, vch   *bus.Channel
+	hifc, vifc bus.Packetized
+	chip       *flash.Chip
+	n          int
+	addrs      []flash.PPA
+	writes     []flash.ProgramOp
+	done       func()
+
+	// remaining counts the halves of a split transfer still on a bus;
+	// joined runs when both have landed.
+	remaining int
+	joined    func()
+	// The v-channel leg of a transfer, held across the two control
+	// messages that hand it to the column's controller.
+	vLabel string
+	vDur   sim.Time
+	vNext  func()
+
+	// A direct copy's destination: the chip, the V-page register granted
+	// to it, the target page, and the token read from the source.
+	dst     ChipID
+	dstChip *flash.Chip
+	reg     int
+	to      flash.PPA
+	token   flash.Token
+	// The copy's grant arbitration: lost exchanges so far, when it
+	// began, the backoff spent, and its trace span.
+	attempts  int
+	arbStart  sim.Time
+	waited    sim.Time
+	grantSpan trace.SpanID
+
+	readCmdFn, returnFn, finishFn, readEccFn    func()
+	writeSocFn, writeEccFn, programFn           func()
+	joinFn, vHop1Fn, vHop2Fn, eraseCmdFn        func()
+	arbitrateFn, requestFn, statusFn, grantedFn func()
+	reservedFn                                  func(reg int)
+	dReadCmdFn, dReadDoneFn, dXferFn, dCommitFn func()
+}
+
+func (f *OmnibusFabric) newOp() *omniOp {
+	r := &omniOp{f: f}
+	r.readCmdFn = r.readCmd
+	r.returnFn = r.returnData
+	r.finishFn = r.finish
+	r.readEccFn = r.readEcc
+	r.writeSocFn = r.writeSoc
+	r.writeEccFn = r.writeEcc
+	r.programFn = r.program
+	r.joinFn = r.join
+	r.vHop1Fn = r.vHop1
+	r.vHop2Fn = r.vHop2
+	r.eraseCmdFn = r.eraseCmd
+	r.arbitrateFn = r.arbitrate
+	r.requestFn = r.request
+	r.statusFn = r.status
+	r.reservedFn = r.reserved
+	r.grantedFn = r.granted
+	r.dReadCmdFn = r.dReadCmd
+	r.dReadDoneFn = r.dReadDone
+	r.dXferFn = r.dXfer
+	r.dCommitFn = r.dCommit
+	return r
+}
+
+// op takes a record for a transaction on chip id.
+func (f *OmnibusFabric) op(id ChipID, n int, done func()) *omniOp {
+	r := f.ops.Get()
+	r.chip = f.grid.Chip(id)
+	v := f.vIndex(id.Way)
+	r.id, r.n, r.done = id, n, done
+	r.hch, r.hifc = f.h[id.Channel], f.hIface[id.Channel]
+	r.vch, r.vifc = f.v[v], f.vIface[v]
+	return r
+}
+
+// recycle returns the record to the free list and hands back its done.
+func (r *omniOp) recycle() func() {
+	done := r.done
+	r.done, r.joined, r.vNext = nil, nil, nil
+	r.f.ops.Put(r)
+	return done
+}
+
 // Read implements Fabric. The command always issues on the h-channel (the
 // row controller owns the chip); the data return path is adaptive or
 // split.
 func (f *OmnibusFabric) Read(id ChipID, ppas []flash.PPA, done func()) {
-	hch := f.h[id.Channel]
-	hifc := f.hIface[id.Channel]
-	chip := f.grid.Chip(id)
-	n := totalBytes(f.pageSize, len(ppas))
-	hch.UseOp("read-cmd", hifc.ReadCmd(), func() {
-		chip.Read(ppas, func() {
-			f.returnData(id, n, done)
-		})
-	})
+	r := f.op(id, totalBytes(f.pageSize, len(ppas)), done)
+	r.addrs = append(r.addrs[:0], ppas...)
+	r.hch.UseOp("read-cmd", r.hifc.ReadCmd(), r.readCmdFn)
 }
 
-// returnData moves n bytes from the chip's page registers into DRAM over
-// the chosen path(s).
-func (f *OmnibusFabric) returnData(id ChipID, n int, done func()) {
-	hch, vch := f.h[id.Channel], f.v[f.vIndex(id.Way)]
-	hifc, vifc := f.hIface[id.Channel], f.vIface[f.vIndex(id.Way)]
-	finish := func() {
-		f.eng.Schedule(EccLatency, func() { f.soc.Transfer(n, done) })
-	}
+func (r *omniOp) readCmd() { r.chip.Read(r.addrs, r.returnFn) }
+
+// returnData moves the read's n bytes from the chip's page registers
+// into DRAM over the chosen path(s).
+func (r *omniOp) returnData() {
+	f, id, n := r.f, r.id, r.n
 	if f.vDead(id.Way) {
 		// Degraded mode: the column's v-channel is dead, so path diversity
 		// collapses and the whole payload returns over the row's h-channel
 		// — the failover the paper's path redundancy makes possible.
-		if r := f.faults.RAS(); r != nil {
-			r.DegradedReturns++
+		if ras := f.faults.RAS(); ras != nil {
+			ras.DegradedReturns++
 		}
 		f.hReturns++
 		if f.trc.Enabled() {
 			f.trc.Instant("route", "degraded-h", trace.KV{K: "chip", V: id.String()})
 		}
-		hch.UseOp("read-xfer", hifc.ReadXfer(n), finish)
+		r.hch.UseOp("read-xfer", r.hifc.ReadXfer(n), r.finishFn)
 		return
 	}
-	if f.split && n > 1 && hch.Load() == 0 && vch.Load() == 0 {
+	if f.split && n > 1 && r.hch.Load() == 0 && r.vch.Load() == 0 {
 		// Half the payload on each bus; the v half first traverses the
 		// control plane so controller[way] drives its v-channel (one
 		// request/grant exchange). Splitting pays only when both buses
@@ -322,19 +411,9 @@ func (f *OmnibusFabric) returnData(id ChipID, n int, done func()) {
 			f.trc.Instant("route", "split-return", trace.KV{K: "chip", V: id.String()})
 		}
 		half1, half2 := n/2, n-n/2
-		remaining := 2
-		join := func() {
-			remaining--
-			if remaining == 0 {
-				finish()
-			}
-		}
-		hch.UseOp("read-xfer-half", hifc.ReadXfer(half1), join)
-		f.soc.CtrlMsg(func() {
-			f.soc.CtrlMsg(func() {
-				vch.UseOp("read-xfer-half", vifc.ReadXfer(half2), join)
-			})
-		})
+		r.remaining, r.joined = 2, r.finishFn
+		r.hch.UseOp("read-xfer-half", r.hifc.ReadXfer(half1), r.joinFn)
+		r.viaV("read-xfer-half", r.vifc.ReadXfer(half2), r.joinFn)
 		return
 	}
 	// Greedy adaptive, as in the paper: the first *available* channel is
@@ -342,86 +421,104 @@ func (f *OmnibusFabric) returnData(id ChipID, n int, done func()) {
 	// free, and the default h queue when both are busy. The paper notes
 	// this can make non-optimal decisions; split transfers recover the
 	// unused capacity.
-	if f.routeToV(hch, vch) {
+	if f.routeToV(r.hch, r.vch) {
 		f.vReturns++
 		if f.trc.Enabled() {
 			f.trc.Instant("route", "v-return", trace.KV{K: "chip", V: id.String()})
 		}
-		f.soc.CtrlMsg(func() {
-			f.soc.CtrlMsg(func() {
-				vch.UseOp("read-xfer", vifc.ReadXfer(n), finish)
-			})
-		})
+		r.viaV("read-xfer", r.vifc.ReadXfer(n), r.finishFn)
 		return
 	}
 	f.hReturns++
-	hch.UseOp("read-xfer", hifc.ReadXfer(n), finish)
+	r.hch.UseOp("read-xfer", r.hifc.ReadXfer(n), r.finishFn)
 }
+
+// finish starts the controller ECC once the whole page has landed.
+func (r *omniOp) finish() { r.f.eng.Schedule(EccLatency, r.readEccFn) }
+
+func (r *omniOp) readEcc() {
+	soc, n := r.f.soc, r.n
+	soc.Transfer(n, r.recycle())
+}
+
+// join counts one half of a split transfer in and runs joined after the
+// second.
+func (r *omniOp) join() {
+	r.remaining--
+	if r.remaining == 0 {
+		r.joined()
+	}
+}
+
+// viaV sends a transfer leg of duration d over the column's v-channel:
+// two control messages hand the leg to the controller driving that
+// v-channel, which then holds it for d and runs next.
+func (r *omniOp) viaV(label string, d sim.Time, next func()) {
+	r.vLabel, r.vDur, r.vNext = label, d, next
+	r.f.soc.CtrlMsg(r.vHop1Fn)
+}
+
+func (r *omniOp) vHop1() { r.f.soc.CtrlMsg(r.vHop2Fn) }
+
+func (r *omniOp) vHop2() { r.vch.UseOp(r.vLabel, r.vDur, r.vNext) }
 
 // Write implements Fabric. Payload delivery mirrors the read return path:
 // split across h and v when enabled, otherwise greedy adaptive.
 func (f *OmnibusFabric) Write(id ChipID, ops []flash.ProgramOp, done func()) {
-	hch, vch := f.h[id.Channel], f.v[f.vIndex(id.Way)]
-	hifc, vifc := f.hIface[id.Channel], f.vIface[f.vIndex(id.Way)]
-	chip := f.grid.Chip(id)
-	n := totalBytes(f.pageSize, len(ops))
-	writes := append([]flash.ProgramOp(nil), ops...)
-	f.soc.Transfer(n, func() {
-		f.eng.Schedule(EccLatency, func() {
-			program := func() { chip.Program(writes, done) }
-			if f.vDead(id.Way) {
-				// Degraded mode: deliver the whole payload on the h-channel.
-				if r := f.faults.RAS(); r != nil {
-					r.DegradedReturns++
-				}
-				hch.UseOp("program-xfer", hifc.ProgramXfer(n), program)
-				return
-			}
-			// Split applies to read returns only. Splitting program
-			// payloads couples every write to its column's v-channel, and
-			// with way-striped allocation policies consecutive writes
-			// share one column — the v-channel becomes a serial hotspot
-			// that costs far more than the halved serialization saves.
-			// Write payloads route adaptively instead; when both buses are
-			// idle the split variant still sends halves down both.
-			if f.split && n > 1 && hch.Load() == 0 && vch.Load() == 0 {
-				half1, half2 := n/2, n-n/2
-				remaining := 2
-				join := func() {
-					remaining--
-					if remaining == 0 {
-						program()
-					}
-				}
-				hch.UseOp("program-xfer-half", hifc.ProgramXfer(half1), join)
-				f.soc.CtrlMsg(func() {
-					f.soc.CtrlMsg(func() {
-						vch.UseOp("program-xfer-half", vifc.ProgramXfer(half2), join)
-					})
-				})
-				return
-			}
-			if f.routeToV(hch, vch) {
-				f.soc.CtrlMsg(func() {
-					f.soc.CtrlMsg(func() {
-						vch.UseOp("program-xfer", vifc.ProgramXfer(n), program)
-					})
-				})
-				return
-			}
-			hch.UseOp("program-xfer", hifc.ProgramXfer(n), program)
-		})
-	})
+	r := f.op(id, totalBytes(f.pageSize, len(ops)), done)
+	r.writes = append(r.writes[:0], ops...)
+	f.soc.Transfer(r.n, r.writeSocFn)
+}
+
+func (r *omniOp) writeSoc() { r.f.eng.Schedule(EccLatency, r.writeEccFn) }
+
+// writeEcc delivers the payload to the chip once it has passed ECC.
+func (r *omniOp) writeEcc() {
+	f, n := r.f, r.n
+	if f.vDead(r.id.Way) {
+		// Degraded mode: deliver the whole payload on the h-channel.
+		if ras := f.faults.RAS(); ras != nil {
+			ras.DegradedReturns++
+		}
+		r.hch.UseOp("program-xfer", r.hifc.ProgramXfer(n), r.programFn)
+		return
+	}
+	// Split applies to read returns only. Splitting program
+	// payloads couples every write to its column's v-channel, and
+	// with way-striped allocation policies consecutive writes
+	// share one column — the v-channel becomes a serial hotspot
+	// that costs far more than the halved serialization saves.
+	// Write payloads route adaptively instead; when both buses are
+	// idle the split variant still sends halves down both.
+	if f.split && n > 1 && r.hch.Load() == 0 && r.vch.Load() == 0 {
+		half1, half2 := n/2, n-n/2
+		r.remaining, r.joined = 2, r.programFn
+		r.hch.UseOp("program-xfer-half", r.hifc.ProgramXfer(half1), r.joinFn)
+		r.viaV("program-xfer-half", r.vifc.ProgramXfer(half2), r.joinFn)
+		return
+	}
+	if f.routeToV(r.hch, r.vch) {
+		r.viaV("program-xfer", r.vifc.ProgramXfer(n), r.programFn)
+		return
+	}
+	r.hch.UseOp("program-xfer", r.hifc.ProgramXfer(n), r.programFn)
+}
+
+func (r *omniOp) program() {
+	r.chip.Program(r.writes, r.done)
+	r.recycle()
 }
 
 // Erase implements Fabric: a single control packet on the h-channel.
 func (f *OmnibusFabric) Erase(id ChipID, blocks []flash.PPA, done func()) {
-	ch := f.h[id.Channel]
-	ifc := f.hIface[id.Channel]
-	chip := f.grid.Chip(id)
-	ch.UseOp("erase-cmd", ifc.EraseCmd(), func() {
-		chip.Erase(blocks, done)
-	})
+	r := f.op(id, 0, done)
+	r.addrs = append(r.addrs[:0], blocks...)
+	r.hch.UseOp("erase-cmd", r.hifc.EraseCmd(), r.eraseCmdFn)
+}
+
+func (r *omniOp) eraseCmd() {
+	r.chip.Erase(r.addrs, r.done)
+	r.recycle()
 }
 
 // Copy implements Fabric. Same-column copies move directly over the
@@ -470,9 +567,9 @@ func (f *OmnibusFabric) Copy(src ChipID, from flash.PPA, dst ChipID, to flash.PP
 		f.relayCopy(src, from, dst, to, done)
 		return
 	}
-	vch := f.v[f.vIndex(src.Way)]
-	vifc := f.vIface[f.vIndex(src.Way)]
-	srcChip, dstChip := f.grid.Chip(src), f.grid.Chip(dst)
+	r := f.op(src, f.pageSize, done)
+	r.dst, r.dstChip, r.to = dst, f.grid.Chip(dst), to
+	r.addrs = append(r.addrs[:0], from)
 
 	// Control plane (Fig 11): the source's controller requests the
 	// v-channel owner, the owner checks the destination's buffer status,
@@ -483,93 +580,110 @@ func (f *OmnibusFabric) Copy(src ChipID, from flash.PPA, dst ChipID, to flash.PP
 	// the source controller times out after GrantTimeout<<attempt and
 	// re-requests, and when the retry budget is exhausted it fails over
 	// to the controller-relayed path — a grant is never awaited forever.
-	attempts := 0
-	arbStart := f.eng.Now()
-	var waited sim.Time
-	var grantSpan trace.SpanID
+	r.attempts, r.arbStart, r.waited = 0, f.eng.Now(), 0
+	r.grantSpan = trace.SpanID{}
 	if f.trc.Enabled() {
-		grantSpan = f.trc.BeginSpan("gc", "grant-wait",
+		r.grantSpan = f.trc.BeginSpan("gc", "grant-wait",
 			trace.KV{K: "src", V: src.String()}, trace.KV{K: "dst", V: dst.String()})
 	}
-	var arbitrate func()
-	arbitrate = func() {
-		f.soc.CtrlMsg(func() { // request: source ctrl -> v-channel owner
-			if f.faults.Draw(fault.GrantDrop) {
-				ras := f.faults.RAS()
-				ras.GrantDrops++
-				f.tel.Event("grant-drop", f.eng.Now())
-				cfg := f.faults.Config()
-				attempts++
-				backoff := cfg.GrantTimeout << uint(attempts-1)
-				// The ladder is doubly bounded: by retry count and by the
-				// cumulative backoff-time budget. Either bound exhausting
-				// fails the copy over to the relay path; a budget-triggered
-				// failover (the count alone would have kept retrying) is
-				// tallied separately so the report distinguishes "gave up
-				// after N tries" from "ran out of time".
-				if attempts > cfg.GrantRetryMax || waited+backoff > cfg.GrantBackoffBudget {
-					if attempts <= cfg.GrantRetryMax {
-						ras.GrantBudgetExhausted++
-					}
-					ras.CopyFailovers++
-					f.relayedCopies++
-					if f.check != nil {
-						f.check.CopyRouted(src, dst, false)
-					}
-					f.trc.EndSpan(grantSpan)
-					f.tel.GrantWait(arbStart, f.eng.Now())
-					f.relayCopy(src, from, dst, to, done)
-					return
-				}
-				ras.GrantRetries++
-				waited += backoff
-				f.eng.Schedule(backoff, arbitrate)
-				return
-			}
-			f.soc.CtrlMsg(func() { // buffer-status check at destination ctrl
-				dstChip.WaitVPage(func(reg int) {
-					f.soc.CtrlMsg(func() { // grant back to source ctrl
-						f.directCopies++
-						if f.check != nil {
-							f.check.CopyRouted(src, dst, true)
-						}
-						f.trc.EndSpan(grantSpan)
-						f.tel.GrantWait(arbStart, f.eng.Now())
-						fin := done
-						if f.trc.Enabled() {
-							sp := f.trc.BeginSpan("gc", "direct-copy",
-								trace.KV{K: "src", V: src.String()}, trace.KV{K: "dst", V: dst.String()})
-							fin = func() {
-								f.trc.EndSpan(sp)
-								if done != nil {
-									done()
-								}
-							}
-						}
-						f.directTransfer(vch, vifc, srcChip, from, dstChip, reg, to, fin)
-					})
-				})
-			})
-		})
-	}
-	arbitrate()
+	r.arbitrate()
 }
 
-// directTransfer runs the data-plane half of a same-column copy: tR on the
+// arbitrate sends a copy's request to the v-channel owner.
+func (r *omniOp) arbitrate() { r.f.soc.CtrlMsg(r.requestFn) }
+
+// request runs when the request reaches the v-channel owner: unless the
+// exchange is lost, the owner asks the destination's controller for
+// buffer status.
+func (r *omniOp) request() {
+	f := r.f
+	if !f.faults.Draw(fault.GrantDrop) {
+		f.soc.CtrlMsg(r.statusFn)
+		return
+	}
+	ras := f.faults.RAS()
+	ras.GrantDrops++
+	f.tel.Event("grant-drop", f.eng.Now())
+	cfg := f.faults.Config()
+	r.attempts++
+	backoff := cfg.GrantTimeout << uint(r.attempts-1)
+	// The ladder is doubly bounded: by retry count and by the
+	// cumulative backoff-time budget. Either bound exhausting
+	// fails the copy over to the relay path; a budget-triggered
+	// failover (the count alone would have kept retrying) is
+	// tallied separately so the report distinguishes "gave up
+	// after N tries" from "ran out of time".
+	if r.attempts > cfg.GrantRetryMax || r.waited+backoff > cfg.GrantBackoffBudget {
+		if r.attempts <= cfg.GrantRetryMax {
+			ras.GrantBudgetExhausted++
+		}
+		ras.CopyFailovers++
+		f.relayedCopies++
+		if f.check != nil {
+			f.check.CopyRouted(r.id, r.dst, false)
+		}
+		f.trc.EndSpan(r.grantSpan)
+		f.tel.GrantWait(r.arbStart, f.eng.Now())
+		src, from, dst, to := r.id, r.addrs[0], r.dst, r.to
+		f.relayCopy(src, from, dst, to, r.recycle())
+		return
+	}
+	ras.GrantRetries++
+	r.waited += backoff
+	f.eng.Schedule(backoff, r.arbitrateFn)
+}
+
+// status is the buffer-status check at the destination's controller: it
+// waits for a free V-page register there.
+func (r *omniOp) status() { r.dstChip.WaitVPage(r.reservedFn) }
+
+// reserved runs with the V-page register claimed for the copy and sends
+// the grant back to the source's controller.
+func (r *omniOp) reserved(reg int) {
+	r.reg = reg
+	r.f.soc.CtrlMsg(r.grantedFn)
+}
+
+// granted starts the data-plane half of a same-column copy: tR on the
 // source, one v-channel crossing, on-die ECC, tPROG from the V-page
 // register on the destination.
-func (f *OmnibusFabric) directTransfer(vch *bus.Channel, vifc bus.Packetized, srcChip *flash.Chip, from flash.PPA, dstChip *flash.Chip, reg int, to flash.PPA, done func()) {
-	vch.UseOp("gc-read-cmd", vifc.ReadCmd(), func() {
-		srcChip.Read([]flash.PPA{from}, func() {
-			token := srcChip.PageRegister(from.Plane)
-			vch.UseOp("gc-vxfer", vifc.VXfer(f.pageSize), func() {
-				dstChip.SetVPage(reg, token)
-				f.eng.Schedule(OnDieEccLatency, func() {
-					dstChip.ProgramFromVPage(reg, to, done)
-				})
-			})
-		})
-	})
+func (r *omniOp) granted() {
+	f := r.f
+	f.directCopies++
+	if f.check != nil {
+		f.check.CopyRouted(r.id, r.dst, true)
+	}
+	f.trc.EndSpan(r.grantSpan)
+	f.tel.GrantWait(r.arbStart, f.eng.Now())
+	if f.trc.Enabled() {
+		sp := f.trc.BeginSpan("gc", "direct-copy",
+			trace.KV{K: "src", V: r.id.String()}, trace.KV{K: "dst", V: r.dst.String()})
+		done := r.done
+		r.done = func() {
+			f.trc.EndSpan(sp)
+			if done != nil {
+				done()
+			}
+		}
+	}
+	r.vch.UseOp("gc-read-cmd", r.vifc.ReadCmd(), r.dReadCmdFn)
+}
+
+func (r *omniOp) dReadCmd() { r.chip.Read(r.addrs, r.dReadDoneFn) }
+
+func (r *omniOp) dReadDone() {
+	r.token = r.chip.PageRegister(r.addrs[0].Plane)
+	r.vch.UseOp("gc-vxfer", r.vifc.VXfer(r.f.pageSize), r.dXferFn)
+}
+
+func (r *omniOp) dXfer() {
+	r.dstChip.SetVPage(r.reg, r.token)
+	r.f.eng.Schedule(OnDieEccLatency, r.dCommitFn)
+}
+
+func (r *omniOp) dCommit() {
+	r.dstChip.ProgramFromVPage(r.reg, r.to, r.done)
+	r.recycle()
 }
 
 // relayCopy is the cross-column fallback: read through the source row's

@@ -142,6 +142,9 @@ type Chip struct {
 
 	reads, programs, erases int64
 
+	// ops recycles the records of finished array operations (dieOp).
+	ops sim.FreeList[dieOp]
+
 	// faults injects transient read ECC failures; faultKey identifies
 	// this chip in the injector's per-chip quota accounting.
 	faults   *fault.Injector
@@ -151,6 +154,12 @@ type Chip struct {
 // NumVPageRegisters is the count of extra V-page registers the pnSSD
 // on-die data-plane adds (the paper's cost discussion assumes two).
 const NumVPageRegisters = 2
+
+// dieOpPoolCap is how many idle dieOp records a chip keeps for reuse. A
+// handful covers the operations that finish and start back to back; a
+// saturated die can queue thousands, and keeping all of those after the
+// queue drains would pin them for the rest of the run on every chip.
+const dieOpPoolCap = 4
 
 // NewChip builds an erased chip.
 func NewChip(eng *sim.Engine, name string, geo Geometry, timing Timing) *Chip {
@@ -165,6 +174,7 @@ func NewChip(eng *sim.Engine, name string, geo Geometry, timing Timing) *Chip {
 		vpage:      make([]Token, NumVPageRegisters),
 		vpageInUse: make([]bool, NumVPageRegisters),
 	}
+	c.ops = sim.NewFreeList(dieOpPoolCap, c.newDieOp)
 	c.content = make([][]Token, geo.Planes)
 	c.state = make([][]PageState, geo.Planes)
 	c.nextPage = make([][]int, geo.Planes)
@@ -272,6 +282,95 @@ func (c *Chip) checkMultiPlane(ppas []PPA) {
 	}
 }
 
+// dieOpKind names the array operation a dieOp runs.
+type dieOpKind uint8
+
+const (
+	dieRead dieOpKind = iota
+	dieProgram
+	dieErase
+)
+
+// dieOp is one array operation in flight on a chip, from the die request
+// to its completion. Its two stages, grant (the die is ours: start the
+// array timer) and finish (apply the effect, free the die, report), are
+// method values bound once when the record is built, so an operation
+// schedules no closures. The record goes back to the chip's free list
+// before done runs, so done may start the next operation on it at once.
+type dieOp struct {
+	c      *Chip
+	kind   dieOpKind
+	addrs  []PPA       // targets; for a program, just their addresses
+	writes []ProgramOp // program targets with their tokens
+	vreg   int         // V-page register a commit frees when done, or -1
+	done   func()
+
+	grantFn, finishFn func()
+}
+
+func (c *Chip) newDieOp() *dieOp {
+	d := &dieOp{c: c}
+	d.grantFn = d.grant
+	d.finishFn = d.finish
+	return d
+}
+
+// grant runs when the die is granted and starts the array timer.
+func (d *dieOp) grant() {
+	c := d.c
+	var t sim.Time
+	switch d.kind {
+	case dieRead:
+		// The retry ladder extends the die-busy window: re-senses hold the
+		// array exactly like the first sense does on real NAND.
+		t = c.timing.Read + c.readFaultPenalty(len(d.addrs))
+	case dieProgram:
+		t = c.timing.Program
+	default:
+		t = c.timing.Erase
+	}
+	c.eng.Schedule(t, d.finishFn)
+}
+
+// finish applies the operation's effect on the array, frees the die,
+// recycles the record and runs done.
+func (d *dieOp) finish() {
+	c := d.c
+	switch d.kind {
+	case dieRead:
+		for _, a := range d.addrs {
+			c.pageReg[a.Plane] = c.content[a.Plane][c.pageIndex(a)]
+		}
+		c.reads++
+	case dieProgram:
+		for _, op := range d.writes {
+			c.content[op.Addr.Plane][c.pageIndex(op.Addr)] = op.Token
+		}
+		c.programs++
+	default:
+		for _, a := range d.addrs {
+			base := a.Block * c.geo.PagesPerBlock
+			for p := 0; p < c.geo.PagesPerBlock; p++ {
+				c.state[a.Plane][base+p] = PageErased
+				c.content[a.Plane][base+p] = ErasedToken
+			}
+			c.nextPage[a.Plane][a.Block] = 0
+			c.eraseCount[a.Plane][a.Block]++
+		}
+		c.erases++
+	}
+	c.die.Release()
+	done, vreg := d.done, d.vreg
+	d.done = nil
+	c.ops.Put(d)
+	if vreg >= 0 {
+		c.freeVPage(vreg)
+	}
+	if done != nil {
+		done()
+	}
+}
+
 // Read performs a (multi-plane) page read: after tR the addressed pages'
 // contents sit in their planes' page registers and done runs. The die is
 // busy for the duration.
@@ -282,21 +381,10 @@ func (c *Chip) Read(ppas []PPA, done func()) {
 			panic(fmt.Sprintf("flash %s: read of unprogrammed page %v", c.name, a))
 		}
 	}
-	addrs := append([]PPA(nil), ppas...)
-	c.die.AcquireLabeled("read", func() {
-		// The retry ladder extends the die-busy window: re-senses hold the
-		// array exactly like the first sense does on real NAND.
-		c.eng.Schedule(c.timing.Read+c.readFaultPenalty(len(addrs)), func() {
-			for _, a := range addrs {
-				c.pageReg[a.Plane] = c.content[a.Plane][c.pageIndex(a)]
-			}
-			c.reads++
-			c.die.Release()
-			if done != nil {
-				done()
-			}
-		})
-	})
+	d := c.ops.Get()
+	d.kind, d.vreg, d.done = dieRead, -1, done
+	d.addrs = append(d.addrs[:0], ppas...)
+	c.die.AcquireLabeled("read", d.grantFn)
 }
 
 // readFaultPenalty draws the transient-ECC outcome for each page of a
@@ -354,37 +442,32 @@ type ProgramOp struct {
 // the chip itself tolerates out-of-order arrival because multi-path
 // fabrics (Omnibus adaptive routing, the mesh) can reorder in-flight
 // programs that were issued in order.
-func (c *Chip) Program(ops []ProgramOp, done func()) {
-	ppas := make([]PPA, len(ops))
-	for i, op := range ops {
-		ppas[i] = op.Addr
+func (c *Chip) Program(ops []ProgramOp, done func()) { c.program(ops, -1, done) }
+
+// program is Program for a commit that frees V-page register vreg when
+// it completes, before done; vreg -1 frees none.
+func (c *Chip) program(ops []ProgramOp, vreg int, done func()) {
+	d := c.ops.Get()
+	d.addrs = d.addrs[:0]
+	for _, op := range ops {
+		d.addrs = append(d.addrs, op.Addr)
 	}
-	c.checkMultiPlane(ppas)
+	c.checkMultiPlane(d.addrs)
 	for _, op := range ops {
 		a := op.Addr
 		if c.state[a.Plane][c.pageIndex(a)] != PageErased {
 			panic(fmt.Sprintf("flash %s: program of non-erased page %v", c.name, a))
 		}
 	}
-	writes := append([]ProgramOp(nil), ops...)
+	d.writes = append(d.writes[:0], ops...)
 	// State is committed at issue time so a read queued behind this program
 	// on the die validates against the state it will observe at grant.
-	for _, op := range writes {
+	for _, op := range d.writes {
 		c.nextPage[op.Addr.Plane][op.Addr.Block]++
 		c.state[op.Addr.Plane][c.pageIndex(op.Addr)] = PageProgrammed
 	}
-	c.die.AcquireLabeled("program", func() {
-		c.eng.Schedule(c.timing.Program, func() {
-			for _, op := range writes {
-				c.content[op.Addr.Plane][c.pageIndex(op.Addr)] = op.Token
-			}
-			c.programs++
-			c.die.Release()
-			if done != nil {
-				done()
-			}
-		})
-	})
+	d.kind, d.vreg, d.done = dieProgram, vreg, done
+	c.die.AcquireLabeled("program", d.grantFn)
 }
 
 // ProgramFromVPage programs a V-page register's content into the array —
@@ -395,41 +478,21 @@ func (c *Chip) ProgramFromVPage(reg int, addr PPA, done func()) {
 	if !c.vpageInUse[reg] {
 		panic(fmt.Sprintf("flash %s: VCommit from empty V-page register %d", c.name, reg))
 	}
-	token := c.vpage[reg]
-	c.Program([]ProgramOp{{Addr: addr, Token: token}}, func() {
-		c.freeVPage(reg)
-		if done != nil {
-			done()
-		}
-	})
+	c.program([]ProgramOp{{Addr: addr, Token: c.vpage[reg]}}, reg, done)
 }
 
 // Erase erases one block per addressed plane (multi-plane erase). All
 // pages return to the erased state and the block's P/E count increments.
+// Only each address's plane and block count; the page is ignored.
 func (c *Chip) Erase(blocks []PPA, done func()) {
-	for i := range blocks {
-		blocks[i].Page = 0
+	d := c.ops.Get()
+	d.addrs = append(d.addrs[:0], blocks...)
+	for i := range d.addrs {
+		d.addrs[i].Page = 0
 	}
-	c.checkMultiPlane(blocks)
-	targets := append([]PPA(nil), blocks...)
-	c.die.AcquireLabeled("erase", func() {
-		c.eng.Schedule(c.timing.Erase, func() {
-			for _, a := range targets {
-				base := a.Block * c.geo.PagesPerBlock
-				for p := 0; p < c.geo.PagesPerBlock; p++ {
-					c.state[a.Plane][base+p] = PageErased
-					c.content[a.Plane][base+p] = ErasedToken
-				}
-				c.nextPage[a.Plane][a.Block] = 0
-				c.eraseCount[a.Plane][a.Block]++
-			}
-			c.erases++
-			c.die.Release()
-			if done != nil {
-				done()
-			}
-		})
-	})
+	c.checkMultiPlane(d.addrs)
+	d.kind, d.vreg, d.done = dieErase, -1, done
+	c.die.AcquireLabeled("erase", d.grantFn)
 }
 
 // PageRegister returns the content of a plane's page register.

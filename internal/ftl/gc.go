@@ -281,10 +281,6 @@ func (f *FTL) copyOnePage(v victim, page int, done func()) {
 	}
 	dstChip, dstAddr, ok := f.allocGCDestination(v)
 	if !ok {
-		if debugGC {
-			free := f.totalFreeBlocks()
-			println("GC alloc fail: victim", v.id.Channel, v.id.Way, "page", page, "freeBlocks", free)
-		}
 		// Transient exhaustion: every free block is being consumed by
 		// concurrent copies or host writes racing into the reserve. Other
 		// victims' erases will free blocks; retry then.
@@ -312,7 +308,7 @@ func (f *FTL) copyOnePage(v victim, page int, done func()) {
 		}
 		if f.p2l[oldPhys] == lpn && f.l2p[lpn] == oldPhys {
 			// Still current: move the mapping.
-			if debugGC2 && f.p2l[newPhys] != unmapped {
+			if f.p2l[newPhys] != unmapped {
 				panic(fmt.Sprintf("ftl: GC copy double-maps phys %d (old lpn %d, new lpn %d)", newPhys, f.p2l[newPhys], lpn))
 			}
 			f.l2p[lpn] = newPhys
@@ -412,9 +408,3 @@ func (f *FTL) eraseVictim(v victim, done func()) {
 		done()
 	})
 }
-
-// debugGC enables diagnostic prints from the GC destination allocator.
-var debugGC = false
-
-// debugGC2 enables mapping-invariant assertions in the copy path.
-var debugGC2 = true

@@ -8,10 +8,14 @@ package sim
 // Grant callbacks run as fresh events (never re-entrantly inside Acquire or
 // Release), so model code can treat them as happening "next".
 type Resource struct {
-	eng     *Engine
-	name    string
-	busy    bool
+	eng  *Engine
+	name string
+	busy bool
+
+	// waiters[head:] are the queued requests in FIFO order; Release
+	// takes the head by index, as eventFIFO does (engine.go).
 	waiters []grantReq
+	head    int
 
 	// accounting
 	busySince   Time
@@ -121,7 +125,7 @@ func (t teeObserver) ResourceQueue(r *Resource, depth int, at Time) {
 func (r *Resource) Busy() bool { return r.busy }
 
 // QueueLen returns the number of waiters not yet granted.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+func (r *Resource) QueueLen() int { return len(r.waiters) - r.head }
 
 // Acquire requests the resource. When granted, fn runs as its own event; the
 // holder must eventually call Release.
@@ -140,14 +144,14 @@ func (r *Resource) AcquireLabeled(label string, fn func()) {
 	}
 	r.waiters = append(r.waiters, grantReq{fn: fn, at: r.eng.Now(), label: label})
 	if r.obs != nil {
-		r.obs.ResourceQueue(r, len(r.waiters), r.eng.Now())
+		r.obs.ResourceQueue(r, r.QueueLen(), r.eng.Now())
 	}
 }
 
 // TryAcquire acquires the resource only if it is idle and has no waiters,
 // reporting success. On success fn is scheduled exactly as with Acquire.
 func (r *Resource) TryAcquire(fn func()) bool {
-	if r.busy || len(r.waiters) > 0 {
+	if r.busy || r.QueueLen() > 0 {
 		return false
 	}
 	r.grant(grantReq{fn: fn, at: r.eng.Now(), label: DefaultHoldLabel})
@@ -203,20 +207,37 @@ func (r *Resource) Release() {
 		r.obs.ResourceHold(r, r.curLabel, r.curQueued, r.busySince, r.eng.Now())
 	}
 	r.busy = false
-	if len(r.waiters) > 0 {
-		next := r.waiters[0]
-		copy(r.waiters, r.waiters[1:])
-		r.waiters = r.waiters[:len(r.waiters)-1]
+	if r.QueueLen() > 0 {
+		next := r.popWaiter()
 		wait := r.eng.Now() - next.at
 		r.totalWait += wait
 		if wait > r.maxWait {
 			r.maxWait = wait
 		}
 		if r.obs != nil {
-			r.obs.ResourceQueue(r, len(r.waiters), r.eng.Now())
+			r.obs.ResourceQueue(r, r.QueueLen(), r.eng.Now())
 		}
 		r.grant(next)
 	}
+}
+
+// popWaiter removes and returns the head waiter. Its slot is zeroed at
+// once so the callback it held can be collected, and once the consumed
+// prefix is at least half the slice the live waiters move to the front
+// and the slots they vacated are cleared, so the backing array is reused
+// without growing while the queue stays shallow.
+func (r *Resource) popWaiter() grantReq {
+	next := r.waiters[r.head]
+	r.waiters[r.head] = grantReq{}
+	r.head++
+	if n := len(r.waiters); r.head == n {
+		r.waiters, r.head = r.waiters[:0], 0
+	} else if 2*r.head >= n {
+		live := copy(r.waiters, r.waiters[r.head:])
+		clear(r.waiters[live:])
+		r.waiters, r.head = r.waiters[:live], 0
+	}
+	return next
 }
 
 // Use acquires the resource, holds it for d, then releases it and runs done
@@ -240,7 +261,7 @@ func (r *Resource) UseLabeled(label string, d Time, done func()) {
 	}
 	r.waiters = append(r.waiters, grantReq{at: r.eng.Now(), label: label, timed: true, dur: d, done: done})
 	if r.obs != nil {
-		r.obs.ResourceQueue(r, len(r.waiters), r.eng.Now())
+		r.obs.ResourceQueue(r, r.QueueLen(), r.eng.Now())
 	}
 }
 

@@ -173,3 +173,46 @@ func TestUtilRecorderConservationProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Release takes the head waiter by index: a long standing queue is
+// granted in FIFO order, each consumed slot is cleared at once so its
+// callback can be collected, and the backing array compacts instead of
+// growing while holds keep arriving.
+func TestResourceWaiterQueueCompacts(t *testing.T) {
+	e := NewEngine()
+	r := NewResource(e, "die")
+	var order []int
+	next := 0
+	var issue func()
+	issue = func() {
+		i := next
+		next++
+		if i < 1000 {
+			r.Use(10, func() { order = append(order, i); issue() })
+		}
+	}
+	for k := 0; k < 8; k++ {
+		issue()
+	}
+	if r.QueueLen() != 7 {
+		t.Fatalf("QueueLen = %d, want 7", r.QueueLen())
+	}
+	for e.Step() {
+		for i := 0; i < r.head; i++ {
+			if r.waiters[i].done != nil {
+				t.Fatalf("consumed waiter slot %d still holds its callback", i)
+			}
+		}
+		if cap(r.waiters) > 32 {
+			t.Fatalf("waiter array grew to %d slots for at most 8 waiters", cap(r.waiters))
+		}
+	}
+	if len(order) != 1000 {
+		t.Fatalf("%d holds completed, want 1000", len(order))
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("hold %d completed in position %d", v, i)
+		}
+	}
+}
