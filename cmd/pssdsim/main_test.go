@@ -12,32 +12,43 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden file from this run")
 
-// The CLI smoke test: one full deterministic run — scaled pnSSD+split
+// The CLI smoke test: full deterministic runs — scaled pnSSD+split
 // device, spatial GC, invariant checker attached — compared byte for
-// byte against the committed transcript. Any behavior drift in the
+// byte against committed transcripts. Any behavior drift in the
 // simulator, the report formatting, or the checker wiring shows up as
-// a golden diff.
+// a golden diff. The second run adds -trace, which attaches the trace
+// recorder ahead of the checker and pins the per-bus utilization
+// heatmap; the trace file's temporary path is masked in its transcript.
 func TestGoldenOutput(t *testing.T) {
 	args := []string{"-arch", "pnssd+split", "-preset", "rocksdb-0", "-gc", "spgc", "-requests", "300", "-seed", "7", "-check"}
-	var buf bytes.Buffer
-	if err := run(args, &buf, io.Discard); err != nil {
-		t.Fatalf("run %v: %v", args, err)
-	}
-	const golden = "testdata/golden_rocksdb0_spgc.txt"
-	if *update {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		golden string
+		args   []string
+	}{
+		{"testdata/golden_rocksdb0_spgc.txt", args},
+		{"testdata/golden_rocksdb0_spgc_trace.txt", append(append([]string(nil), args...), "-trace", filepath.Join(dir, "trace.json"))},
+	} {
+		var buf bytes.Buffer
+		if err := run(c.args, &buf, io.Discard); err != nil {
+			t.Fatalf("run %v: %v", c.args, err)
+		}
+		got := []byte(strings.ReplaceAll(buf.String(), dir, "$TMPDIR"))
+		if *update {
+			if err := os.WriteFile(c.golden, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(c.golden)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("output differs from %s (rerun with -update to accept):\ngot:\n%s\nwant:\n%s", golden, buf.Bytes(), want)
-	}
-	if !strings.Contains(buf.String(), "0 violations") {
-		t.Error("checked run did not report zero violations")
+		if !bytes.Equal(got, want) {
+			t.Errorf("output differs from %s (rerun with -update to accept):\ngot:\n%s\nwant:\n%s", c.golden, got, want)
+		}
+		if !strings.Contains(buf.String(), "0 violations") {
+			t.Errorf("%s: checked run did not report zero violations", c.golden)
+		}
 	}
 }
 

@@ -3,9 +3,12 @@ package ssd
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"os"
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/ftl"
 	"repro/internal/host"
 	"repro/internal/sim"
@@ -247,5 +250,78 @@ func TestTenantDepthSeries(t *testing.T) {
 	}
 	if !sawDepth {
 		t.Fatal("no tenant ever showed standing queue depth under MaxInflight=2")
+	}
+}
+
+var updateTelemetryGolden = flag.Bool("update-telemetry", false, "rewrite testdata/telemetry_summary.json from this run")
+
+// TestTelemetrySummaryGolden pins the telemetry document byte for byte
+// on one short run that produces every per-device series kind: host
+// throughput and latency, GC activity, Omnibus grant wait, per-tenant
+// queue depth, fmmu map-cache hits and misses, and counted events of
+// several classes.
+func TestTelemetrySummaryGolden(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.FTL.GCMode = ftl.GCSpatial
+	cfg.LogicalUtilization = 0.75
+	cfg.Mapping = "fmmu"
+	cfg.MapCacheEntries = 2
+	cfg.Fault = &fault.Config{Seed: 5, ProgramFailRate: 0.01, GrantDropRate: 0.02}
+	cfg.Telemetry = &telemetry.Config{Window: 100 * sim.Microsecond}
+	specs := []workload.TenantSpec{
+		{Name: "reader", Preset: "web-0", Requests: 150, Weight: 3},
+		{Name: "writer", Preset: "rocksdb-1", Requests: 250, Weight: 1, Burst: 4},
+	}
+	cfg.Frontend = &host.FrontendConfig{
+		Tenants:     workload.QueueConfigs(specs),
+		Arbiter:     host.ArbWRR,
+		MaxInflight: 4,
+	}
+	s := New(ArchPnSSDSplit, cfg)
+	foot := cfg.LogicalPages()
+	s.Host.Warmup(foot)
+	tr, err := workload.GenerateTenants(specs, foot, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Frontend.Replay(tr.Requests); err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	sum := s.Telemetry.Summary(s.Engine.Now())
+	for _, name := range []string{"throughput", "gc_active", "gc_copies", "grant_wait", "grants",
+		"qdepth:reader", "qdepth:writer", "map_hits", "map_misses"} {
+		if sum.SeriesByName(name) == nil {
+			t.Fatalf("series %q missing", name)
+		}
+	}
+	var events int
+	for _, sr := range sum.Series {
+		if strings.HasPrefix(sr.Name, "event:") {
+			events++
+		}
+	}
+	if events < 2 {
+		t.Fatalf("%d event:<class> series, want at least 2", events)
+	}
+	got, err := json.MarshalIndent(sum, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const golden = "testdata/telemetry_summary.json"
+	if *updateTelemetryGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("telemetry summary differs from %s (rerun with -update-telemetry to accept)", golden)
 	}
 }
