@@ -108,15 +108,8 @@ func (c *Channel) Load() int {
 	return n
 }
 
-// SetUtilRecorder attaches a windowed utilization recorder (Fig 3).
-func (c *Channel) SetUtilRecorder(u *sim.UtilRecorder) { c.res.SetUtilRecorder(u) }
-
-// SetObserver attaches a hold/queue observer to the underlying resource
-// (the tracing hook); nil detaches.
-func (c *Channel) SetObserver(o sim.ResourceObserver) { c.res.SetObserver(o) }
-
-// AddObserver attaches an additional observer alongside any already
-// installed (the invariant-checking hook).
+// AddObserver attaches a hold/queue observer to the underlying resource,
+// alongside any already installed.
 func (c *Channel) AddObserver(o sim.ResourceObserver) { c.res.AddObserver(o) }
 
 // TotalBusy returns cumulative occupancy.

@@ -176,15 +176,8 @@ func (s *Soc) Transfer(n int, done func()) {
 	s.sysBus.UseLabeled("xfer", sim.Time(n)*s.sysBusPsByte, x.toDRAMFn)
 }
 
-// SetObserver attaches a hold/queue observer to the system bus and DRAM
-// resources (the tracing hook); nil detaches.
-func (s *Soc) SetObserver(o sim.ResourceObserver) {
-	s.sysBus.SetObserver(o)
-	s.dram.SetObserver(o)
-}
-
-// AddObserver attaches an additional observer to the system bus and DRAM
-// resources (the invariant-checking hook), alongside any tracing observer.
+// AddObserver attaches a hold/queue observer to the system bus and DRAM
+// resources, alongside any already installed.
 func (s *Soc) AddObserver(o sim.ResourceObserver) {
 	s.sysBus.AddObserver(o)
 	s.dram.AddObserver(o)

@@ -23,8 +23,9 @@ type Fig3Result struct {
 
 // Fig3 reproduces the Fig 3 analysis on a baseline SSD: replay the reads
 // and the writes of a skewed trace separately and record per-channel
-// utilization over time. Reads inherit the workload's skew (imbalanced);
-// writes are placed by the FTL's striping policy (balanced).
+// utilization in sim.DefaultWindow windows. Reads inherit the workload's
+// skew (imbalanced); writes are placed by the FTL's striping policy
+// (balanced).
 func Fig3(opt Options) Fig3Result {
 	opt = opt.withDefaults()
 	trace := "exchange-1"
@@ -32,12 +33,16 @@ func Fig3(opt Options) Fig3Result {
 	if err != nil {
 		panic(err)
 	}
-	window := 500 * sim.Microsecond
-
 	run := func(kind stats.IOKind) [][]float64 {
 		s := build(ssd.ArchBase, *opt.Cfg, ftl.GCNone, ftl.PCWD)
 		warm(s, 0, opt.Seed)
-		m := s.AttachChannelUtil(window)
+		// baseSSD's buses are its h-channels, one recorder each.
+		var recs []*sim.UtilRecorder
+		for _, b := range s.Buses() {
+			u := sim.NewUtilRecorder(sim.DefaultWindow)
+			b.Channel.AddObserver(u)
+			recs = append(recs, u)
+		}
 		var reqs []host.Request
 		for _, r := range full.Requests {
 			if r.Kind == kind {
@@ -46,7 +51,16 @@ func Fig3(opt Options) Fig3Result {
 		}
 		s.Host.MustReplay(reqs)
 		s.Run()
-		return m.Rows()
+		// One row per channel, all padded to the longest row.
+		width := 0
+		for _, u := range recs {
+			width = max(width, u.Len())
+		}
+		rows := make([][]float64, len(recs))
+		for i, u := range recs {
+			rows[i] = u.Values(width, float64(sim.DefaultWindow))
+		}
+		return rows
 	}
 	rows := runner.MapDefault(2, func(i int) [][]float64 {
 		return run([]stats.IOKind{stats.Read, stats.Write}[i])

@@ -204,13 +204,9 @@ func (c *Chip) SetFaults(inj *fault.Injector, key uint64) {
 	c.faultKey = key
 }
 
-// SetObserver attaches a hold/queue observer to the die resource (the
-// tracing hook); nil detaches. The die track carries one span per array
+// AddObserver attaches a hold/queue observer to the die resource,
+// alongside any already installed. The die reports one hold per array
 // operation, labeled read/program/erase.
-func (c *Chip) SetObserver(o sim.ResourceObserver) { c.die.SetObserver(o) }
-
-// AddObserver attaches an additional observer to the die resource (the
-// invariant-checking hook), alongside any tracing observer.
 func (c *Chip) AddObserver(o sim.ResourceObserver) { c.die.AddObserver(o) }
 
 // DieName returns the die resource's diagnostic name (the trace track

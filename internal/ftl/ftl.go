@@ -531,7 +531,7 @@ func (f *FTL) issueRead(lpns []int64, done func()) {
 		// Pin the blocks under read so GC cannot erase them while the read
 		// is still queued behind channel or die contention.
 		for i, a := range b.ppas {
-			if debugReads && f.fab.Grid().Chip(b.id).PageStateAt(a) != flash.PageProgrammed {
+			if f.fab.Grid().Chip(b.id).PageStateAt(a) != flash.PageProgrammed {
 				bi := f.planeAt(b.id, a.Plane).blocks[a.Block]
 				phys := physIndex(f.geo, f.ways, b.id, a)
 				lpn := f.p2l[phys]
@@ -705,7 +705,7 @@ func (f *FTL) commitWrite(lpns []int64, toks []flash.Token, targets []pendingTar
 		}
 		addr := flash.PPA{Plane: tgt.s.plane, Block: tgt.block, Page: tgt.page}
 		phys := physIndex(f.geo, f.ways, tgt.s.chip, addr)
-		if debugReads && f.p2l[phys] != unmapped {
+		if f.p2l[phys] != unmapped {
 			panic(fmt.Sprintf("ftl: commitWrite double-maps phys %d (old lpn %d, new lpn %d) at %v/%v", phys, f.p2l[phys], lpn, tgt.s.chip, addr))
 		}
 		f.l2p[lpn] = phys
@@ -924,9 +924,6 @@ func (f *FTL) CheckConsistency() error {
 	}
 	return nil
 }
-
-// debugReads enables an issue-time page-state check in issueRead.
-var debugReads = true
 
 // WearStats summarizes block erase counts across the device — the P/E
 // cycle distribution whose uniformity the SpGC group swap protects

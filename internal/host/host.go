@@ -83,11 +83,8 @@ func (h *Host) SetTracer(t *trace.Recorder) { h.trc = t }
 // and windowed host series; nil (the default) detaches.
 func (h *Host) SetTelemetry(c *telemetry.Collector) { h.tel = c }
 
-// SetObserver attaches a hold/queue observer to the NVMe link resource.
-func (h *Host) SetObserver(o sim.ResourceObserver) { h.nvme.SetObserver(o) }
-
-// AddObserver attaches an additional observer to the NVMe link resource
-// (the invariant-checking hook), alongside any tracing observer.
+// AddObserver attaches a hold/queue observer to the NVMe link resource,
+// alongside any already installed.
 func (h *Host) AddObserver(o sim.ResourceObserver) { h.nvme.AddObserver(o) }
 
 // NvmeName returns the NVMe link resource's trace track name.

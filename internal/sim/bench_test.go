@@ -107,16 +107,19 @@ func BenchmarkEngineOpenLoop(b *testing.B) {
 	}
 }
 
-// BenchmarkUtilRecorderSparse records busy intervals far apart in time.
-// The recorder grows straight to the interval's window in one append, so
-// sparse traffic does not reallocate once per empty window in between.
+// BenchmarkUtilRecorderSparse records busy intervals far apart in time,
+// then a weighted interval and a count between them. The recorder grows
+// straight to the target window in one append, so sparse traffic does
+// not reallocate once per empty window in between.
 func BenchmarkUtilRecorderSparse(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		u := NewUtilRecorder(Microsecond)
 		// One early interval, then one 50 ms later: ~50k empty windows
 		// crossed in a single growth step.
-		u.AddBusy(0, Microsecond)
-		u.AddBusy(50*Millisecond, 50*Millisecond+Microsecond)
+		u.Spread(0, Microsecond, 1)
+		u.Spread(50*Millisecond, 50*Millisecond+Microsecond, 1)
+		u.Spread(20*Millisecond, 20*Millisecond+Microsecond, 4)
+		u.Add(30*Millisecond, 1)
 	}
 }

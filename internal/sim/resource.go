@@ -23,7 +23,6 @@ type Resource struct {
 	totalGrants int64
 	totalWait   Time
 	maxWait     Time
-	util        *UtilRecorder
 	obs         ResourceObserver
 	curLabel    string
 	curQueued   Time
@@ -43,7 +42,9 @@ type Resource struct {
 }
 
 // ResourceObserver receives passive notifications about a resource's
-// occupancy and queue, the hook the tracing subsystem attaches to. All
+// occupancy and queue. It is the resource's one observation hook: the
+// trace recorder, the invariant checker and the Fig 3 utilization
+// recorders all attach through AddObserver. All
 // callbacks fire synchronously inside Acquire/Release; implementations
 // must only record — scheduling events or touching model state from an
 // observer would perturb the simulation it is observing.
@@ -82,19 +83,12 @@ func NewResource(eng *Engine, name string) *Resource {
 // Name returns the diagnostic name supplied at construction.
 func (r *Resource) Name() string { return r.name }
 
-// SetUtilRecorder attaches a windowed utilization recorder; every busy
-// interval is reported to it. A nil recorder detaches.
-func (r *Resource) SetUtilRecorder(u *UtilRecorder) { r.util = u }
-
-// SetObserver attaches a hold/queue observer; nil detaches. With no
-// observer attached the accounting paths are unchanged, so runs with
-// tracing disabled are bit-identical to runs before observers existed.
-func (r *Resource) SetObserver(o ResourceObserver) { r.obs = o }
-
-// AddObserver attaches an additional observer alongside any already
-// installed, fanning callbacks out to both in installation order. This
-// lets tracing and invariant checking watch the same resource without
-// either knowing about the other.
+// AddObserver attaches an observer alongside any already installed,
+// fanning callbacks out to all of them in installation order. This lets
+// tracing and invariant checking watch the same resource without either
+// knowing about the other. With no observer attached the accounting
+// paths are unchanged, so unobserved runs are bit-identical to observed
+// ones.
 func (r *Resource) AddObserver(o ResourceObserver) {
 	if o == nil {
 		return
@@ -200,9 +194,6 @@ func (r *Resource) Release() {
 	}
 	held := r.eng.Now() - r.busySince
 	r.totalBusy += held
-	if r.util != nil {
-		r.util.AddBusy(r.busySince, r.eng.Now())
-	}
 	if r.obs != nil {
 		r.obs.ResourceHold(r, r.curLabel, r.curQueued, r.busySince, r.eng.Now())
 	}
@@ -294,11 +285,20 @@ func (r *Resource) Utilization() float64 {
 	return float64(r.totalBusy) / float64(r.eng.Now())
 }
 
-// UtilRecorder accumulates busy time into fixed-width windows, producing the
-// per-channel utilization time series behind the paper's Fig 3 heatmap.
+// DefaultWindow is the width of every fixed-window series in the
+// simulator: the trace utilization timelines, the telemetry series and
+// the Fig 3 channel heatmaps, which use the paper's 500 us windows.
+const DefaultWindow = 500 * Microsecond
+
+// UtilRecorder sums quantities into fixed-width windows of simulated
+// time. It is the simulator's one windowed accumulator: Spread splits an
+// interval across the windows it overlaps (busy time, or a weighted
+// level such as queue depth), Add counts at one instant (completions,
+// bytes, events), and Values exports the sums. As a ResourceObserver it
+// records a resource's busy time, the data behind the Fig 3 heatmaps.
 type UtilRecorder struct {
-	window  Time
-	busyPer []Time
+	window Time
+	sums   []int64
 }
 
 // NewUtilRecorder creates a recorder with the given window width.
@@ -312,37 +312,66 @@ func NewUtilRecorder(window Time) *UtilRecorder {
 // Window returns the configured window width.
 func (u *UtilRecorder) Window() Time { return u.window }
 
-// AddBusy credits the interval [from, to) across the windows it overlaps.
-func (u *UtilRecorder) AddBusy(from, to Time) {
+// Len returns the number of windows from time zero through the last one
+// credited.
+func (u *UtilRecorder) Len() int { return len(u.sums) }
+
+// grow extends the sums through window w in a single append, so a
+// credit far past the recorded range costs one growth step, not one
+// reallocating append per empty window in between.
+func (u *UtilRecorder) grow(w int) {
+	if w >= len(u.sums) {
+		u.sums = append(u.sums, make([]int64, w+1-len(u.sums))...)
+	}
+}
+
+// Spread credits weight times the overlap of [from, to) to each window
+// the interval overlaps. Weight 1 records busy time.
+func (u *UtilRecorder) Spread(from, to Time, weight int64) {
 	if to < from {
-		panic("sim: inverted busy interval")
+		panic("sim: inverted interval")
 	}
 	if from == to {
 		return
 	}
-	// Grow straight to the interval's last window instead of one window
-	// per loop iteration: an interval far past the recorded range costs
-	// one append, not O(gap) reallocating appends.
-	if last := int((to - 1) / u.window); last >= len(u.busyPer) {
-		u.busyPer = append(u.busyPer, make([]Time, last+1-len(u.busyPer))...)
-	}
+	u.grow(int((to - 1) / u.window))
 	for from < to {
 		w := int(from / u.window)
-		end := Time(w+1) * u.window
-		if end > to {
-			end = to
-		}
-		u.busyPer[w] += end - from
+		end := min(Time(w+1)*u.window, to)
+		u.sums[w] += int64(end-from) * weight
 		from = end
 	}
 }
 
-// Series returns per-window utilization in [0,1], one entry per window from
-// time zero through the last busy interval recorded.
-func (u *UtilRecorder) Series() []float64 {
-	out := make([]float64, len(u.busyPer))
-	for i, b := range u.busyPer {
-		out[i] = float64(b) / float64(u.window)
+// Add credits v to the window containing at.
+func (u *UtilRecorder) Add(at Time, v int64) {
+	w := int(at / u.window)
+	u.grow(w)
+	u.sums[w] += v
+}
+
+// Clone returns an independent copy, so a caller can close open
+// intervals for an export without changing the recorder.
+func (u *UtilRecorder) Clone() *UtilRecorder {
+	return &UtilRecorder{window: u.window, sums: append([]int64(nil), u.sums...)}
+}
+
+// Values returns the sums of the first n windows, each divided by scale;
+// windows past the recorded range read zero. Scale float64(Window())
+// turns busy time into utilization in [0,1].
+func (u *UtilRecorder) Values(n int, scale float64) []float64 {
+	out := make([]float64, n)
+	for i, v := range u.sums[:min(n, len(u.sums))] {
+		out[i] = float64(v) / scale
 	}
 	return out
 }
+
+// ResourceHold implements ResourceObserver: the hold's busy interval is
+// spread across the windows it overlaps.
+func (u *UtilRecorder) ResourceHold(_ *Resource, _ string, _, grantedAt, releasedAt Time) {
+	u.Spread(grantedAt, releasedAt, 1)
+}
+
+// ResourceQueue implements ResourceObserver; queue depth is not recorded.
+func (u *UtilRecorder) ResourceQueue(*Resource, int, Time) {}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -107,16 +108,38 @@ func TestResourceUtilization(t *testing.T) {
 
 func TestUtilRecorderWindows(t *testing.T) {
 	u := NewUtilRecorder(10)
-	u.AddBusy(5, 25) // half of window 0, all of window 1, half of window 2
-	s := u.Series()
-	want := []float64{0.5, 1.0, 0.5}
-	if len(s) != 3 {
-		t.Fatalf("series = %v, want %v", s, want)
+	u.Spread(5, 25, 1) // half of window 0, all of window 1, half of window 2
+	want := []float64{0.5, 1.0, 0.5, 0}
+	if got := u.Values(4, 10); !slices.Equal(got, want) || u.Len() != 3 {
+		t.Fatalf("busy series = %v (len %d), want %v", got, u.Len(), want)
 	}
-	for i := range want {
-		if s[i] != want[i] {
-			t.Fatalf("series = %v, want %v", s, want)
-		}
+
+	// Weighted: depth 3 over [0, 15) is 30 depth-units in w0, 15 in w1.
+	d := NewUtilRecorder(10)
+	d.Spread(0, 15, 3)
+	if got := d.Values(2, 10); !slices.Equal(got, []float64{3, 1.5}) {
+		t.Fatalf("mean depth = %v, want [3 1.5]", got)
+	}
+
+	// Counts land in the window of their instant; a window boundary
+	// belongs to the later window.
+	c := NewUtilRecorder(10)
+	c.Add(0, 1)
+	c.Add(9, 2)
+	c.Add(10, 5)
+	c.Add(35, 1)
+	if got := c.Values(5, 1); !slices.Equal(got, []float64{3, 5, 0, 1, 0}) {
+		t.Fatalf("counts = %v, want [3 5 0 1 0]", got)
+	}
+	if got := c.Values(1, 1); !slices.Equal(got, []float64{3}) {
+		t.Fatalf("truncated counts = %v, want [3]", got)
+	}
+
+	// A clone is independent of its source.
+	cl := c.Clone()
+	cl.Add(0, 100)
+	if c.Values(1, 1)[0] != 3 || cl.Values(1, 1)[0] != 103 {
+		t.Fatal("Clone shares sums with its source")
 	}
 }
 
@@ -124,12 +147,11 @@ func TestUtilRecorderAttachedToResource(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "ch")
 	u := NewUtilRecorder(100)
-	r.SetUtilRecorder(u)
+	r.AddObserver(u)
 	r.Use(50, nil)  // [0,50)
 	r.Use(100, nil) // [50,150)
 	e.Run()
-	s := u.Series()
-	if len(s) != 2 || s[0] != 1.0 || s[1] != 0.5 {
+	if s := u.Values(u.Len(), 100); !slices.Equal(s, []float64{1.0, 0.5}) {
 		t.Fatalf("series = %v, want [1 0.5]", s)
 	}
 }
@@ -154,20 +176,37 @@ func TestResourceSerializationProperty(t *testing.T) {
 	}
 }
 
-// Property: UtilRecorder conserves busy time — the sum over windows equals
-// the length of the recorded interval, for any window size and interval.
+// Property: UtilRecorder conserves what it is given — the sum over
+// windows of a weighted interval equals weight times its length, and
+// counts added at arbitrary instants sum to their total — for any window
+// size, interval and instants.
 func TestUtilRecorderConservationProperty(t *testing.T) {
-	prop := func(winRaw, fromRaw, lenRaw uint16) bool {
+	prop := func(winRaw, fromRaw, lenRaw uint16, weightRaw uint8, at []uint16) bool {
 		win := Time(winRaw%500) + 1
 		from := Time(fromRaw % 2000)
 		length := Time(lenRaw % 2000)
+		weight := int64(weightRaw%8) + 1
 		u := NewUtilRecorder(win)
-		u.AddBusy(from, from+length)
-		var total Time
-		for _, b := range u.busyPer {
-			total += b
+		u.Spread(from, from+length, weight)
+		var total int64
+		for _, v := range u.sums {
+			total += v
 		}
-		return total == length
+		if total != weight*int64(length) {
+			return false
+		}
+		c := NewUtilRecorder(win)
+		for i, a := range at {
+			c.Add(Time(a), int64(i))
+		}
+		var count, want int64
+		for _, v := range c.Values(c.Len(), 1) {
+			count += int64(v)
+		}
+		for i := range at {
+			want += int64(i)
+		}
+		return count == want
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

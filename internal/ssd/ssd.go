@@ -290,35 +290,22 @@ func wireTrace(cfg Config, eng *sim.Engine, grid *controller.Grid, fab controlle
 		return nil
 	}
 	rec := trace.New(eng, *cfg.Trace)
-	switch fb := fab.(type) {
-	case *controller.BusFabric:
-		for ch := 0; ch < grid.Channels; ch++ {
-			c := fb.Channel(ch)
-			rec.RegisterTrack(c.Name(), trace.KindHChannel)
-			c.SetObserver(rec)
-		}
-	case *controller.OmnibusFabric:
-		for ch := 0; ch < grid.Channels; ch++ {
-			c := fb.HChannel(ch)
-			rec.RegisterTrack(c.Name(), trace.KindHChannel)
-			c.SetObserver(rec)
-		}
-		for i := 0; i < fb.NumVChannels(); i++ {
-			c := fb.VChannel(i * fb.ColumnsPerVChannel())
-			rec.RegisterTrack(c.Name(), trace.KindVChannel)
-			c.SetObserver(rec)
-		}
+	for _, b := range buses(fab, grid.Channels) {
+		rec.RegisterTrack(b.Name, b.Kind)
+		b.Channel.AddObserver(rec)
+	}
+	if fb, ok := fab.(*controller.OmnibusFabric); ok {
 		fb.SetTracer(rec)
 	}
 	grid.ForEach(func(_ controller.ChipID, c *flash.Chip) {
 		rec.RegisterTrack(c.DieName(), trace.KindChip)
-		c.SetObserver(rec)
+		c.AddObserver(rec)
 	})
 	rec.RegisterTrack("sysbus", trace.KindSoc)
 	rec.RegisterTrack("dram", trace.KindSoc)
-	soc.SetObserver(rec)
+	soc.AddObserver(rec)
 	rec.RegisterTrack(h.NvmeName(), trace.KindHost)
-	h.SetObserver(rec)
+	h.AddObserver(rec)
 	h.SetTracer(rec)
 	f.SetTracer(rec)
 	return rec
@@ -338,27 +325,12 @@ func wireCheck(cfg Config, eng *sim.Engine, grid *controller.Grid, fab controlle
 	watch := func(name string, busy func() bool, queued func() int) {
 		ck.WatchIdle(name, func() (bool, int) { return busy(), queued() })
 	}
-	switch fb := fab.(type) {
-	case *controller.BusFabric:
-		for ch := 0; ch < grid.Channels; ch++ {
-			c := fb.Channel(ch)
-			ck.RegisterResource(c.Name(), trace.KindHChannel)
-			c.AddObserver(ck)
-			watch(c.Name(), c.Busy, c.QueueLen)
-		}
-	case *controller.OmnibusFabric:
-		for ch := 0; ch < grid.Channels; ch++ {
-			c := fb.HChannel(ch)
-			ck.RegisterResource(c.Name(), trace.KindHChannel)
-			c.AddObserver(ck)
-			watch(c.Name(), c.Busy, c.QueueLen)
-		}
-		for i := 0; i < fb.NumVChannels(); i++ {
-			c := fb.VChannel(i * fb.ColumnsPerVChannel())
-			ck.RegisterResource(c.Name(), trace.KindVChannel)
-			c.AddObserver(ck)
-			watch(c.Name(), c.Busy, c.QueueLen)
-		}
+	for _, b := range buses(fab, grid.Channels) {
+		ck.RegisterResource(b.Name, b.Kind)
+		b.Channel.AddObserver(ck)
+		watch(b.Name, b.Channel.Busy, b.Channel.QueueLen)
+	}
+	if fb, ok := fab.(*controller.OmnibusFabric); ok {
 		ck.WatchCopies(fb.ColumnsPerVChannel())
 		fb.SetChecker(ck)
 	}
@@ -623,29 +595,6 @@ func makeFabric(arch Arch, eng *sim.Engine, grid *controller.Grid, soc *controll
 		panic(fmt.Sprintf("ssd: unknown architecture %d", int(arch)))
 	}
 	return fab
-}
-
-// AttachChannelUtil attaches per-channel utilization recorders with the
-// given window to every h-channel (bus and Omnibus fabrics) and returns
-// the matrix — the instrument behind Fig 3. Mesh fabrics have no channel
-// notion and return nil.
-func (s *SSD) AttachChannelUtil(window sim.Time) *stats.UtilMatrix {
-	switch fab := s.Fabric.(type) {
-	case *controller.BusFabric:
-		m := stats.NewUtilMatrix(s.Config.Channels, window)
-		for ch := 0; ch < s.Config.Channels; ch++ {
-			fab.Channel(ch).SetUtilRecorder(m.Recorders[ch])
-		}
-		return m
-	case *controller.OmnibusFabric:
-		m := stats.NewUtilMatrix(s.Config.Channels, window)
-		for ch := 0; ch < s.Config.Channels; ch++ {
-			fab.HChannel(ch).SetUtilRecorder(m.Recorders[ch])
-		}
-		return m
-	default:
-		return nil
-	}
 }
 
 // Drain runs the simulation to completion and returns the final time,

@@ -3,6 +3,7 @@ package ssd
 import (
 	"testing"
 
+	"repro/internal/controller"
 	"repro/internal/ftl"
 	"repro/internal/host"
 	"repro/internal/sim"
@@ -124,36 +125,39 @@ func TestArchitectureLatencyOrderingNoGC(t *testing.T) {
 	}
 }
 
+// TestAttachChannelUtil attaches one windowed utilization recorder to
+// each bus channel, the way Fig 3 records its heatmaps, and checks that
+// the channels report their busy time to it.
 func TestAttachChannelUtil(t *testing.T) {
 	s := New(ArchBase, tinyConfig())
-	m := s.AttachChannelUtil(100 * sim.Microsecond)
-	if m == nil {
-		t.Fatal("no util matrix on bus fabric")
+	var recs []*sim.UtilRecorder
+	for _, b := range s.Buses() {
+		u := sim.NewUtilRecorder(100 * sim.Microsecond)
+		b.Channel.AddObserver(u)
+		recs = append(recs, u)
+	}
+	if len(recs) != 4 {
+		t.Fatalf("%d bus channels on a 4-channel bus fabric", len(recs))
 	}
 	s.Host.Warmup(128)
 	s.Host.RunClosedLoop(workload.Synthetic(workload.RandRead, 128, 2, 3), 4, 40)
 	s.Run()
-	rows := m.Rows()
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	var total float64
-	for _, row := range rows {
-		for _, v := range row {
-			total += v
+	for i, u := range recs {
+		var busy float64
+		for _, v := range u.Values(u.Len(), 1) {
+			busy += v
 		}
-	}
-	if total == 0 {
-		t.Fatal("utilization matrix recorded nothing")
+		if c := s.Buses()[i].Channel; sim.Time(busy) != c.TotalBusy() || busy == 0 {
+			t.Fatalf("%s: recorder holds %v ps busy, channel reports %v", c.Name(), busy, c.TotalBusy())
+		}
 	}
 
 	pn := New(ArchPnSSD, tinyConfig())
-	if pn.AttachChannelUtil(100*sim.Microsecond) == nil {
-		t.Fatal("no util matrix on omnibus fabric")
+	if n := len(pn.Buses()); n != 4+pn.Fabric.(*controller.OmnibusFabric).NumVChannels() {
+		t.Fatalf("omnibus fabric enumerates %d bus channels", n)
 	}
-	mesh := New(ArchNoSSDPin, tinyConfig())
-	if mesh.AttachChannelUtil(100*sim.Microsecond) != nil {
-		t.Fatal("mesh fabric should return nil util matrix")
+	if b := New(ArchNoSSDPin, tinyConfig()).Buses(); b != nil {
+		t.Fatalf("mesh fabric enumerates bus channels %v", b)
 	}
 }
 

@@ -21,21 +21,28 @@ type BusInfo struct {
 	Channel *bus.Channel
 }
 
-// Buses enumerates the device's bus channels in display order: all
+// Buses enumerates the device's bus channels in display order; see
+// buses.
+func (s *SSD) Buses() []BusInfo { return buses(s.Fabric, s.Config.Channels) }
+
+// buses enumerates a fabric's bus channels in display order: all
 // h-channels, then (on Omnibus fabrics) all v-channels. Mesh fabrics
-// return nil — their links have no per-row channel notion.
-func (s *SSD) Buses() []BusInfo {
-	switch fab := s.Fabric.(type) {
+// return nil — their links have no per-row channel notion. It is the
+// one enumeration the trace tracks, the checker registrations, the
+// per-bus summary rows and the Fig 3 recorders all walk, so trace track
+// IDs follow this order.
+func buses(fab controller.Fabric, channels int) []BusInfo {
+	switch fab := fab.(type) {
 	case *controller.BusFabric:
-		out := make([]BusInfo, 0, s.Config.Channels)
-		for ch := 0; ch < s.Config.Channels; ch++ {
+		out := make([]BusInfo, 0, channels)
+		for ch := 0; ch < channels; ch++ {
 			c := fab.Channel(ch)
 			out = append(out, BusInfo{Name: c.Name(), Kind: trace.KindHChannel, Channel: c})
 		}
 		return out
 	case *controller.OmnibusFabric:
-		out := make([]BusInfo, 0, s.Config.Channels+fab.NumVChannels())
-		for ch := 0; ch < s.Config.Channels; ch++ {
+		out := make([]BusInfo, 0, channels+fab.NumVChannels())
+		for ch := 0; ch < channels; ch++ {
 			c := fab.HChannel(ch)
 			out = append(out, BusInfo{Name: c.Name(), Kind: trace.KindHChannel, Channel: c})
 		}

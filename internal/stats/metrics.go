@@ -111,44 +111,6 @@ func (m *IOMetrics) String() string {
 		m.MeanLatency(), m.Combined().P99(), m.KIOPS())
 }
 
-// UtilMatrix is a channels × time-window utilization matrix: the data
-// behind the paper's Fig 3 heatmap. Rows are channels, columns are windows.
-type UtilMatrix struct {
-	Recorders []*sim.UtilRecorder
-}
-
-// NewUtilMatrix creates one recorder per channel with a shared window.
-func NewUtilMatrix(channels int, window sim.Time) *UtilMatrix {
-	m := &UtilMatrix{Recorders: make([]*sim.UtilRecorder, channels)}
-	for i := range m.Recorders {
-		m.Recorders[i] = sim.NewUtilRecorder(window)
-	}
-	return m
-}
-
-// Rows returns the matrix as [channel][window] utilization in [0,1], with
-// all rows padded to the same width.
-func (m *UtilMatrix) Rows() [][]float64 {
-	rows := make([][]float64, len(m.Recorders))
-	width := 0
-	for i, r := range m.Recorders {
-		rows[i] = r.Series()
-		if len(rows[i]) > width {
-			width = len(rows[i])
-		}
-	}
-	for i := range rows {
-		for len(rows[i]) < width {
-			rows[i] = append(rows[i], 0)
-		}
-	}
-	return rows
-}
-
-// ImbalanceIndex quantifies cross-channel imbalance; 1.0 is perfectly
-// balanced. See ImbalanceOfRows.
-func (m *UtilMatrix) ImbalanceIndex() float64 { return ImbalanceOfRows(m.Rows()) }
-
 // ImbalanceOfRows computes a busy-weighted imbalance index over a
 // [channel][window] utilization matrix: the sum over windows of the
 // busiest channel's utilization divided by the sum of the mean

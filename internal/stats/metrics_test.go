@@ -82,40 +82,26 @@ func TestIOKindString(t *testing.T) {
 	}
 }
 
-func TestUtilMatrixRows(t *testing.T) {
-	m := NewUtilMatrix(2, 10)
-	m.Recorders[0].AddBusy(0, 10) // window 0 fully busy on ch0
-	m.Recorders[1].AddBusy(10, 15)
-	rows := m.Rows()
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	if len(rows[0]) != len(rows[1]) {
-		t.Fatal("rows not padded to equal width")
-	}
-	if rows[0][0] != 1.0 || rows[1][1] != 0.5 {
-		t.Fatalf("rows = %v", rows)
-	}
-}
-
-func TestUtilMatrixImbalance(t *testing.T) {
-	balanced := NewUtilMatrix(4, 10)
-	for _, r := range balanced.Recorders {
-		r.AddBusy(0, 10)
-	}
-	if got := balanced.ImbalanceIndex(); got != 1.0 {
+func TestImbalanceOfRows(t *testing.T) {
+	balanced := [][]float64{{1}, {1}, {1}, {1}}
+	if got := ImbalanceOfRows(balanced); got != 1.0 {
 		t.Fatalf("balanced imbalance = %v, want 1.0", got)
 	}
 
-	skewed := NewUtilMatrix(4, 10)
-	skewed.Recorders[0].AddBusy(0, 10) // only one channel busy
-	got := skewed.ImbalanceIndex()
-	if got != 4.0 {
+	skewed := [][]float64{{1}, {0}, {0}, {0}} // only one channel busy
+	if got := ImbalanceOfRows(skewed); got != 4.0 {
 		t.Fatalf("skewed imbalance = %v, want 4.0 (max/mean with 1-of-4 busy)", got)
 	}
 
-	empty := NewUtilMatrix(4, 10)
-	if got := empty.ImbalanceIndex(); got != 1.0 {
-		t.Fatalf("empty imbalance = %v, want 1.0", got)
+	for _, empty := range [][][]float64{nil, {{}, {}}, {{0, 0}, {0, 0}}} {
+		if got := ImbalanceOfRows(empty); got != 1.0 {
+			t.Fatalf("empty imbalance %v = %v, want 1.0", empty, got)
+		}
+	}
+
+	// Busy-weighting: a near-idle window barely moves the index.
+	sparse := [][]float64{{1, 0.01}, {1, 0}}
+	if got := ImbalanceOfRows(sparse); got <= 1.0 || got > 1.01 {
+		t.Fatalf("sparse imbalance = %v, want just above 1", got)
 	}
 }

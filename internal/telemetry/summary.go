@@ -6,6 +6,7 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -81,133 +82,77 @@ func (c *Collector) Summary(end sim.Time) *Summary {
 	if end < c.lastEvent {
 		end = c.lastEvent
 	}
-	// Close open intervals against a copy of the mutable state so
-	// Summary stays idempotent.
-	gcBusy := append([]sim.Time(nil), c.gcBusy...)
-	if c.gcActive {
-		gcBusy = c.spread(gcBusy, c.gcSince, end)
-	}
-	n := c.slot(end)
-	if end > 0 && end%c.window == 0 {
-		n-- // end on a window boundary: last window is [n-1]
-	}
-	if n < 0 {
-		n = 0
-	}
-	windows := n + 1
+	// Windows through the one containing end's last instant; at least one.
+	windows := max(1, int((end+c.window-1)/c.window))
 
 	winSec := c.window.Seconds()
-	kiops := make([]float64, windows)
-	mbps := make([]float64, windows)
 	mean := make([]float64, windows)
 	p50 := make([]float64, windows)
 	p99 := make([]float64, windows)
-	for w := 0; w < windows; w++ {
-		if w < len(c.completed) {
-			kiops[w] = round6(float64(c.completed[w]) / winSec / 1000)
-			mbps[w] = round6(float64(c.bytes[w]) / winSec / 1e6)
-		}
-		if w < len(c.lat) && c.lat[w] != nil {
-			h := c.lat[w]
+	for w, h := range c.lat[:min(windows, len(c.lat))] {
+		if h != nil {
 			mean[w] = round6(h.Mean().Microseconds())
 			p50[w] = round6(h.Median().Microseconds())
 			p99[w] = round6(h.P99().Microseconds())
 		}
 	}
+	// scaled exports one accumulator as round6(sum / scale / per) per
+	// window; counts use 1, 1, which leaves them exact.
+	scaled := func(acc *sim.UtilRecorder, scale, per float64) []float64 {
+		vals := acc.Values(windows, scale)
+		for w, v := range vals {
+			vals[w] = round6(v / per)
+		}
+		return vals
+	}
+	sec, us := float64(sim.Second), float64(sim.Microsecond)
+
+	// Every series in export order; seen gates the optional ones. Open
+	// intervals (an active GC round, standing tenant queues) are closed
+	// at end on copies, so Summary stays idempotent.
+	type column struct {
+		name, unit string
+		seen       bool
+		values     []float64
+	}
+	cols := []column{
+		{"throughput", "kiops", true, scaled(c.completed, winSec, 1000)},
+		{"bandwidth", "mbps", true, scaled(c.bytes, winSec, 1e6)},
+		{"lat_mean", "us", true, mean},
+		{"lat_p50", "us", true, p50},
+		{"lat_p99", "us", true, p99},
+		{"gc_active", "frac", c.gcSeen, scaled(c.gc.closed(end), sec, winSec)},
+		{"gc_copies", "pages", c.gcSeen, scaled(c.gcCopies, 1, 1)},
+		{"grant_wait", "us", c.grantSeen, scaled(c.grantWait, us, 1)},
+		{"grants", "count", c.grantSeen, scaled(c.grantCount, 1, 1)},
+	}
+	for i, name := range c.tenants {
+		cols = append(cols, column{"qdepth:" + name, "reqs", true, scaled(c.qdepth[i].closed(end), sec, winSec)})
+	}
+	cols = append(cols,
+		column{"rebuild", "pages", c.rebuildSeen, scaled(c.rebuilt, 1, 1)},
+		column{"map_hits", "count", c.mapSeen, scaled(c.mapHits, 1, 1)},
+		column{"map_misses", "count", c.mapSeen, scaled(c.mapMisses, 1, 1)})
+	// Event classes in sorted order so map iteration never leaks.
+	classes := make([]string, 0, len(c.events))
+	for class := range c.events {
+		classes = append(classes, class)
+	}
+	sort.Strings(classes)
+	for _, class := range classes {
+		cols = append(cols, column{"event:" + class, "count", true, scaled(c.events[class], 1, 1)})
+	}
+
 	sum := &Summary{
 		WindowUs:              c.window.Microseconds(),
 		Windows:               windows,
 		Requests:              c.requests,
 		AttributionViolations: c.attViolated,
-		Series: []Series{
-			{Name: "throughput", Unit: "kiops", Values: kiops},
-			{Name: "bandwidth", Unit: "mbps", Values: mbps},
-			{Name: "lat_mean", Unit: "us", Values: mean},
-			{Name: "lat_p50", Unit: "us", Values: p50},
-			{Name: "lat_p99", Unit: "us", Values: p99},
-		},
 	}
-
-	if c.gcSeen {
-		busy := make([]float64, windows)
-		copies := make([]float64, windows)
-		for w := 0; w < windows; w++ {
-			if w < len(gcBusy) {
-				busy[w] = round6(gcBusy[w].Seconds() / winSec)
-			}
-			if w < len(c.gcCopies) {
-				copies[w] = float64(c.gcCopies[w])
-			}
+	for _, col := range cols {
+		if col.seen {
+			sum.Series = append(sum.Series, Series{Name: col.name, Unit: col.unit, Values: col.values})
 		}
-		sum.Series = append(sum.Series,
-			Series{Name: "gc_active", Unit: "frac", Values: busy},
-			Series{Name: "gc_copies", Unit: "pages", Values: copies})
-	}
-	if c.grantSeen {
-		wait := make([]float64, windows)
-		grants := make([]float64, windows)
-		for w := 0; w < windows; w++ {
-			if w < len(c.grantWait) {
-				wait[w] = round6(c.grantWait[w].Microseconds())
-			}
-			if w < len(c.grantCount) {
-				grants[w] = float64(c.grantCount[w])
-			}
-		}
-		sum.Series = append(sum.Series,
-			Series{Name: "grant_wait", Unit: "us", Values: wait},
-			Series{Name: "grants", Unit: "count", Values: grants})
-	}
-	for i := range c.tenants {
-		t := &c.tenants[i]
-		dur := append([]sim.Time(nil), t.depthDur...)
-		if t.depth > 0 {
-			dur = c.spreadDepth(dur, t.at, end, t.depth)
-		}
-		depth := make([]float64, windows)
-		for w := 0; w < windows; w++ {
-			if w < len(dur) {
-				depth[w] = round6(dur[w].Seconds() / winSec)
-			}
-		}
-		sum.Series = append(sum.Series,
-			Series{Name: "qdepth:" + t.name, Unit: "reqs", Values: depth})
-	}
-	if c.rebuildSeen {
-		pages := make([]float64, windows)
-		for w := 0; w < windows; w++ {
-			if w < len(c.rebuilt) {
-				pages[w] = float64(c.rebuilt[w])
-			}
-		}
-		sum.Series = append(sum.Series,
-			Series{Name: "rebuild", Unit: "pages", Values: pages})
-	}
-	if c.mapSeen {
-		hits := make([]float64, windows)
-		misses := make([]float64, windows)
-		for w := 0; w < windows; w++ {
-			if w < len(c.mapHits) {
-				hits[w] = float64(c.mapHits[w])
-			}
-			if w < len(c.mapMisses) {
-				misses[w] = float64(c.mapMisses[w])
-			}
-		}
-		sum.Series = append(sum.Series,
-			Series{Name: "map_hits", Unit: "count", Values: hits},
-			Series{Name: "map_misses", Unit: "count", Values: misses})
-	}
-	// Event classes in sorted order so map iteration never leaks.
-	for _, class := range sortedKeys(c.events) {
-		counts := make([]float64, windows)
-		for w := 0; w < windows; w++ {
-			if w < len(c.events[class]) {
-				counts[w] = float64(c.events[class][w])
-			}
-		}
-		sum.Series = append(sum.Series,
-			Series{Name: "event:" + class, Unit: "count", Values: counts})
 	}
 
 	for k := 0; k < 2; k++ {
@@ -248,21 +193,6 @@ func (c *Collector) Summary(end sim.Time) *Summary {
 	}
 	sum.Marks = append(sum.Marks, c.marks...)
 	return sum
-}
-
-func sortedKeys(m map[string][]int64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	// Insertion sort: the class count is tiny and this avoids an
-	// import for one call site.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
 }
 
 // String summarizes the summary for debug printing.

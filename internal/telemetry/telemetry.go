@@ -25,11 +25,6 @@ import (
 	"repro/internal/stats"
 )
 
-// DefaultWindow is the sampling window width when Config.Window is
-// zero. It matches trace.DefaultWindow so counter tracks line up with
-// the utilization timelines in Perfetto.
-const DefaultWindow = 500 * sim.Microsecond
-
 // windowHistDensity is the bucket resolution of the small per-window
 // latency histograms (coarser than the run-level 90/decade histograms;
 // ~8% bucket error is fine for sparklines).
@@ -38,30 +33,48 @@ const windowHistDensity = 30
 // Config selects telemetry collection. The zero value is usable.
 type Config struct {
 	// Window is the sampling window width in simulated time.
-	// Zero selects DefaultWindow.
+	// Zero selects sim.DefaultWindow.
 	Window sim.Time
 }
 
-// tenantSeries integrates one tenant's submission-queue depth over
-// time, window by window, exactly like trace.Timeline does for
-// resource queues.
-type tenantSeries struct {
-	name     string
-	depthDur []sim.Time // sum of depth x duration per window
-	depth    int
-	at       sim.Time
+// level is a step function of simulated time — GC activity (0 or 1), a
+// tenant's queue depth — integrated per window as level x duration.
+type level struct {
+	acc   *sim.UtilRecorder
+	value int64
+	since sim.Time
+}
+
+// set changes the level at time at, crediting the previous level over
+// [since, at).
+func (l *level) set(v int64, at sim.Time) {
+	if l.value != 0 {
+		l.acc.Spread(l.since, at, l.value)
+	}
+	l.value, l.since = v, at
+}
+
+// closed returns the integral with the open interval closed at end,
+// leaving the level itself unchanged so Summary stays idempotent.
+func (l *level) closed(end sim.Time) *sim.UtilRecorder {
+	acc := l.acc.Clone()
+	if l.value != 0 {
+		acc.Spread(l.since, end, l.value)
+	}
+	return acc
 }
 
 // Collector accumulates all telemetry channels for one device run.
 // It is not safe for concurrent use; like the trace recorder it lives
 // inside a single engine's event callbacks (or is fed post-join from
-// a single goroutine, as the array tier does).
+// a single goroutine, as the array tier does). Every windowed channel
+// is a sim.UtilRecorder.
 type Collector struct {
 	window sim.Time
 
 	// Host completion channels, indexed by completion window.
-	completed []int64
-	bytes     []int64
+	completed *sim.UtilRecorder
+	bytes     *sim.UtilRecorder
 	lat       []*stats.Histogram
 
 	// Per-kind, per-phase attribution histograms for the whole run.
@@ -70,36 +83,35 @@ type Collector struct {
 	requests    int64
 	attViolated int64
 
-	// GC activity: busy time integrated per window plus copy counts.
-	gcBusy    []sim.Time
-	gcCopies  []int64
-	gcActive  bool
-	gcSince   sim.Time
+	// GC activity: time inside a round per window plus copy counts.
+	gc        level
+	gcCopies  *sim.UtilRecorder
 	gcSeen    bool
 	lastEvent sim.Time // high-water mark of any hook, bounds open intervals
 
 	// Omnibus grant wait: waited time integrated over the wait
 	// interval, plus grant counts at resolution time.
-	grantWait  []sim.Time
-	grantCount []int64
+	grantWait  *sim.UtilRecorder
+	grantCount *sim.UtilRecorder
 	grantSeen  bool
 
 	// Counted instants (RAS/fault events) per window, keyed by class.
 	// Map order never leaks: Summary sorts the keys.
-	events map[string][]int64
+	events map[string]*sim.UtilRecorder
 
-	// Per-tenant submission-queue depth.
-	tenants []tenantSeries
+	// Per-tenant submission-queue depth, qdepth[i] for tenants[i].
+	tenants []string
+	qdepth  []level
 
 	// Array rebuild progress: pages rebuilt per window.
-	rebuilt     []int64
+	rebuilt     *sim.UtilRecorder
 	rebuildSeen bool
 
 	// FMMU map-cache activity: lookup hits and misses per window. mapSeen
 	// gates both the series and the PhaseMap attribution rows so flat-mode
 	// summaries stay byte-identical to builds without the map unit.
-	mapHits   []int64
-	mapMisses []int64
+	mapHits   *sim.UtilRecorder
+	mapMisses *sim.UtilRecorder
 	mapSeen   bool
 
 	// Named instants (e.g. rebuild-detect) surfaced in the summary.
@@ -110,9 +122,16 @@ type Collector struct {
 func New(cfg Config) *Collector {
 	w := cfg.Window
 	if w <= 0 {
-		w = DefaultWindow
+		w = sim.DefaultWindow
 	}
-	c := &Collector{window: w, events: make(map[string][]int64)}
+	acc := func() *sim.UtilRecorder { return sim.NewUtilRecorder(w) }
+	c := &Collector{
+		window: w, completed: acc(), bytes: acc(),
+		gc: level{acc: acc()}, gcCopies: acc(),
+		grantWait: acc(), grantCount: acc(),
+		events:  make(map[string]*sim.UtilRecorder),
+		rebuilt: acc(), mapHits: acc(), mapMisses: acc(),
+	}
 	for k := 0; k < 2; k++ {
 		for p := Phase(0); p < NumPhases; p++ {
 			c.phaseHist[k][p] = stats.NewHistogram(90)
@@ -132,51 +151,12 @@ func (c *Collector) Window() sim.Time {
 	return c.window
 }
 
-// slot maps a timestamp to its window index.
-func (c *Collector) slot(at sim.Time) int { return int(at / c.window) }
-
 // touch records the high-water mark so open intervals (an unfinished
 // GC round, a tenant queue that never drains) can be closed at export.
 func (c *Collector) touch(at sim.Time) {
 	if at > c.lastEvent {
 		c.lastEvent = at
 	}
-}
-
-func growI64(s []int64, w int) []int64 {
-	for len(s) <= w {
-		s = append(s, 0)
-	}
-	return s
-}
-
-func growT(s []sim.Time, w int) []sim.Time {
-	for len(s) <= w {
-		s = append(s, 0)
-	}
-	return s
-}
-
-// spread credits the duration [from, to) across the windows it
-// overlaps, returning the grown slice.
-func (c *Collector) spread(s []sim.Time, from, to sim.Time) []sim.Time {
-	if to <= from {
-		return s
-	}
-	s = growT(s, c.slot(to))
-	for w := c.slot(from); w <= c.slot(to); w++ {
-		start, end := sim.Time(w)*c.window, sim.Time(w+1)*c.window
-		if start < from {
-			start = from
-		}
-		if end > to {
-			end = to
-		}
-		if end > start {
-			s[w] += end - start
-		}
-	}
-	return s
 }
 
 // RecordCompletion adds one finished request to the windowed host
@@ -188,14 +168,12 @@ func (c *Collector) RecordCompletion(kind stats.IOKind, arrival, complete sim.Ti
 		return
 	}
 	c.touch(complete)
-	w := c.slot(complete)
-	c.completed = growI64(c.completed, w)
-	c.bytes = growI64(c.bytes, w)
+	c.completed.Add(complete, 1)
+	c.bytes.Add(complete, bytes)
+	w := int(complete / c.window)
 	for len(c.lat) <= w {
 		c.lat = append(c.lat, nil)
 	}
-	c.completed[w]++
-	c.bytes[w] += bytes
 	if c.lat[w] == nil {
 		c.lat[w] = stats.NewHistogram(windowHistDensity)
 	}
@@ -208,17 +186,17 @@ func (c *Collector) GCStarted(at sim.Time) {
 		return
 	}
 	c.touch(at)
-	c.gcActive, c.gcSince, c.gcSeen = true, at, true
+	c.gc.set(1, at)
+	c.gcSeen = true
 }
 
 // GCFinished marks the end of a GC round, crediting the busy interval.
 func (c *Collector) GCFinished(at sim.Time) {
-	if c == nil || !c.gcActive {
+	if c == nil || c.gc.value == 0 {
 		return
 	}
 	c.touch(at)
-	c.gcBusy = c.spread(c.gcBusy, c.gcSince, at)
-	c.gcActive = false
+	c.gc.set(0, at)
 }
 
 // GCCopied counts one valid-page copy during collection.
@@ -227,9 +205,7 @@ func (c *Collector) GCCopied(at sim.Time) {
 		return
 	}
 	c.touch(at)
-	w := c.slot(at)
-	c.gcCopies = growI64(c.gcCopies, w)
-	c.gcCopies[w]++
+	c.gcCopies.Add(at, 1)
 	c.gcSeen = true
 }
 
@@ -242,10 +218,8 @@ func (c *Collector) GrantWait(from, to sim.Time) {
 		return
 	}
 	c.touch(to)
-	c.grantWait = c.spread(c.grantWait, from, to)
-	w := c.slot(to)
-	c.grantCount = growI64(c.grantCount, w)
-	c.grantCount[w]++
+	c.grantWait.Spread(from, to, 1)
+	c.grantCount.Add(to, 1)
 	c.grantSeen = true
 }
 
@@ -256,9 +230,12 @@ func (c *Collector) Event(class string, at sim.Time) {
 		return
 	}
 	c.touch(at)
-	w := c.slot(at)
-	c.events[class] = growI64(c.events[class], w)
-	c.events[class][w]++
+	acc := c.events[class]
+	if acc == nil {
+		acc = sim.NewUtilRecorder(c.window)
+		c.events[class] = acc
+	}
+	acc.Add(at, 1)
 }
 
 // RegisterTenants declares the tenant names, in display order, before
@@ -268,7 +245,8 @@ func (c *Collector) RegisterTenants(names []string) {
 		return
 	}
 	for _, n := range names {
-		c.tenants = append(c.tenants, tenantSeries{name: n})
+		c.tenants = append(c.tenants, n)
+		c.qdepth = append(c.qdepth, level{acc: sim.NewUtilRecorder(c.window)})
 	}
 }
 
@@ -279,38 +257,12 @@ func (c *Collector) TenantDepth(name string, depth int, at sim.Time) {
 		return
 	}
 	c.touch(at)
-	for i := range c.tenants {
-		t := &c.tenants[i]
-		if t.name != name {
-			continue
-		}
-		if t.depth > 0 {
-			t.depthDur = c.spreadDepth(t.depthDur, t.at, at, t.depth)
-		}
-		t.depth, t.at = depth, at
-		return
-	}
-}
-
-// spreadDepth credits depth x duration over [from, to).
-func (c *Collector) spreadDepth(s []sim.Time, from, to sim.Time, depth int) []sim.Time {
-	if to <= from || depth == 0 {
-		return s
-	}
-	s = growT(s, c.slot(to))
-	for w := c.slot(from); w <= c.slot(to); w++ {
-		start, end := sim.Time(w)*c.window, sim.Time(w+1)*c.window
-		if start < from {
-			start = from
-		}
-		if end > to {
-			end = to
-		}
-		if end > start {
-			s[w] += (end - start) * sim.Time(depth)
+	for i, n := range c.tenants {
+		if n == name {
+			c.qdepth[i].set(int64(depth), at)
+			return
 		}
 	}
-	return s
 }
 
 // EnableMapPhase declares that a map unit is attached to this run, so
@@ -330,9 +282,7 @@ func (c *Collector) MapHit(at sim.Time) {
 		return
 	}
 	c.touch(at)
-	w := c.slot(at)
-	c.mapHits = growI64(c.mapHits, w)
-	c.mapHits[w]++
+	c.mapHits.Add(at, 1)
 	c.mapSeen = true
 }
 
@@ -343,9 +293,7 @@ func (c *Collector) MapMiss(at sim.Time) {
 		return
 	}
 	c.touch(at)
-	w := c.slot(at)
-	c.mapMisses = growI64(c.mapMisses, w)
-	c.mapMisses[w]++
+	c.mapMisses.Add(at, 1)
 	c.mapSeen = true
 }
 
@@ -355,9 +303,7 @@ func (c *Collector) RebuildPage(at sim.Time) {
 		return
 	}
 	c.touch(at)
-	w := c.slot(at)
-	c.rebuilt = growI64(c.rebuilt, w)
-	c.rebuilt[w]++
+	c.rebuilt.Add(at, 1)
 	c.rebuildSeen = true
 }
 

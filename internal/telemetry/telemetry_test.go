@@ -71,7 +71,7 @@ func TestWindowCount(t *testing.T) {
 			}
 		}
 	}
-	if w := New(Config{}).Window(); w != DefaultWindow {
+	if w := New(Config{}).Window(); w != sim.DefaultWindow {
 		t.Fatalf("default window %v", w)
 	}
 }

@@ -14,7 +14,7 @@ const (
 	phAsyncBegin = "b" // logical span open (request, GC round, grant wait)
 	phAsyncEnd   = "e" // logical span close
 	phInstant    = "i" // point event (routing decision, fault)
-	phCounter    = "C" // gauge sample (queue depth)
+	phCounter    = "C" // counter sample (telemetry series)
 )
 
 // event is one recorded trace event, held in simulator units and

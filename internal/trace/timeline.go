@@ -2,130 +2,34 @@ package trace
 
 import "repro/internal/sim"
 
-// Timeline accumulates two fixed-interval gauges for one track: busy time
-// per window (→ utilization) and the time integral of queue depth per
-// window (→ mean queue depth). It is fed passively from observer
-// callbacks — no sampling events are scheduled — so it exists outside the
-// simulation's event stream.
+// Timeline accumulates one track's busy time into fixed windows (→
+// utilization). It is fed passively from observer callbacks — no
+// sampling events are scheduled — so it exists outside the simulation's
+// event stream.
 type Timeline struct {
-	window  sim.Time
-	busyPer []sim.Time
-	total   sim.Time
-
-	depthPer []sim.Time // ∫ depth dt per window, in depth·picoseconds
-	curDepth int
-	depthAt  sim.Time
+	busy  *sim.UtilRecorder
+	total sim.Time
 }
 
 // NewTimeline creates an empty timeline with the given window width.
 func NewTimeline(window sim.Time) *Timeline {
-	if window <= 0 {
-		panic("trace: non-positive timeline window")
-	}
-	return &Timeline{window: window}
+	return &Timeline{busy: sim.NewUtilRecorder(window)}
 }
 
 // Window returns the window width.
-func (t *Timeline) Window() sim.Time { return t.window }
+func (t *Timeline) Window() sim.Time { return t.busy.Window() }
 
 // AddBusy credits the busy interval [from, to) across the windows it
 // overlaps.
 func (t *Timeline) AddBusy(from, to sim.Time) {
-	if to < from {
-		panic("trace: inverted busy interval")
-	}
+	t.busy.Spread(from, to, 1)
 	t.total += to - from
-	for from < to {
-		w := int(from / t.window)
-		for w >= len(t.busyPer) {
-			t.busyPer = append(t.busyPer, 0)
-		}
-		end := sim.Time(w+1) * t.window
-		if end > to {
-			end = to
-		}
-		t.busyPer[w] += end - from
-		from = end
-	}
-}
-
-// SetDepth records a queue-depth transition at the given time: the
-// previous depth is integrated over the elapsed interval, then the new
-// depth takes effect.
-func (t *Timeline) SetDepth(depth int, at sim.Time) {
-	t.integrateDepth(at)
-	t.curDepth = depth
-}
-
-// integrateDepth spreads curDepth over [depthAt, to) into depthPer and
-// advances depthAt.
-func (t *Timeline) integrateDepth(to sim.Time) {
-	from := t.depthAt
-	if to < from {
-		panic("trace: queue-depth time went backwards")
-	}
-	t.depthAt = to
-	if t.curDepth == 0 {
-		return
-	}
-	d := sim.Time(t.curDepth)
-	for from < to {
-		w := int(from / t.window)
-		for w >= len(t.depthPer) {
-			t.depthPer = append(t.depthPer, 0)
-		}
-		end := sim.Time(w+1) * t.window
-		if end > to {
-			end = to
-		}
-		t.depthPer[w] += d * (end - from)
-		from = end
-	}
 }
 
 // TotalBusy returns the summed busy time over all windows.
 func (t *Timeline) TotalBusy() sim.Time { return t.total }
 
-// UtilSeries returns per-window utilization in [0,1], one entry per
-// window from time zero through the last busy interval recorded.
-func (t *Timeline) UtilSeries() []float64 {
-	out := make([]float64, len(t.busyPer))
-	for i, b := range t.busyPer {
-		out[i] = float64(b) / float64(t.window)
-	}
-	return out
-}
-
-// QueueSeries returns the mean queue depth per window through end. The
-// still-open depth interval is included without mutating the timeline.
-func (t *Timeline) QueueSeries(end sim.Time) []float64 {
-	width := len(t.depthPer)
-	if t.window > 0 && end > 0 {
-		if w := int((end + t.window - 1) / t.window); w > width {
-			width = w
-		}
-	}
-	per := make([]sim.Time, width)
-	copy(per, t.depthPer)
-	// Fold in the open interval [depthAt, end) at curDepth.
-	if t.curDepth > 0 && end > t.depthAt {
-		d, from := sim.Time(t.curDepth), t.depthAt
-		for from < end {
-			w := int(from / t.window)
-			if w >= len(per) {
-				break
-			}
-			stop := sim.Time(w+1) * t.window
-			if stop > end {
-				stop = end
-			}
-			per[w] += d * (stop - from)
-			from = stop
-		}
-	}
-	out := make([]float64, len(per))
-	for i, v := range per {
-		out[i] = float64(v) / float64(t.window)
-	}
-	return out
+// UtilSeries returns the utilization in [0,1] of the first n windows.
+func (t *Timeline) UtilSeries(n int) []float64 {
+	return t.busy.Values(n, float64(t.busy.Window()))
 }

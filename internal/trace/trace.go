@@ -12,9 +12,9 @@
 //     (a request from arrival to completion, a GC round, a grant
 //     arbitration, a write stall) as async spans, and mark routing
 //     decisions as instant events.
-//   - Fixed-interval timelines. Per-track utilization and time-weighted
-//     queue depth are accumulated into fixed windows, the data behind the
-//     per-bus heatmap table and the paper's Fig 3-style analyses.
+//   - Fixed-interval timelines. Per-track busy time is accumulated into
+//     fixed windows (sim.UtilRecorder), the data behind the per-bus
+//     heatmap table.
 //
 // Tracing is strictly passive: the Recorder never schedules events and
 // never touches model state, so a traced run executes the identical event
@@ -28,20 +28,11 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultWindow is the gauge-timeline interval when Config.Window is zero
-// (matches the 500us window of the Fig 3 utilization heatmaps).
-const DefaultWindow = 500 * sim.Microsecond
-
 // Config parameterizes a Recorder.
 type Config struct {
-	// Window is the fixed interval of the utilization/queue-depth
-	// timelines; zero selects DefaultWindow.
+	// Window is the fixed interval of the utilization timelines; zero
+	// selects sim.DefaultWindow.
 	Window sim.Time
-	// QueueCounters, when set, additionally emits a Chrome counter event
-	// on every queue-depth transition of every observed resource. The
-	// timelines are always recorded; the per-transition counters make
-	// queue dynamics visible in Perfetto at the cost of trace size.
-	QueueCounters bool
 	// TrackPrefix is prepended to every track name. Array runs trace many
 	// devices whose internal resources share names ("nvme", "h0", die
 	// grids); a per-device prefix like "dev3/" keeps the merged view
@@ -69,7 +60,7 @@ type Track struct {
 	tl   *Timeline
 }
 
-// Timeline returns the track's fixed-interval gauge timeline.
+// Timeline returns the track's fixed-interval busy timeline.
 func (t *Track) Timeline() *Timeline { return t.tl }
 
 // SpanID identifies an in-flight async span returned by BeginSpan. The
@@ -94,7 +85,6 @@ type KV struct {
 type Recorder struct {
 	eng    *sim.Engine
 	window sim.Time
-	qctr   bool
 	prefix string
 
 	events []event
@@ -110,12 +100,11 @@ type Recorder struct {
 func New(eng *sim.Engine, cfg Config) *Recorder {
 	w := cfg.Window
 	if w <= 0 {
-		w = DefaultWindow
+		w = sim.DefaultWindow
 	}
 	return &Recorder{
 		eng:    eng,
 		window: w,
-		qctr:   cfg.QueueCounters,
 		prefix: cfg.TrackPrefix,
 		tracks: make(map[string]*Track),
 	}
@@ -125,7 +114,7 @@ func New(eng *sim.Engine, cfg Config) *Recorder {
 // use before building event arguments.
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// Window returns the gauge-timeline interval.
+// Window returns the timeline interval.
 func (r *Recorder) Window() sim.Time {
 	if r == nil {
 		return 0
@@ -196,21 +185,9 @@ func (r *Recorder) ResourceHold(res *sim.Resource, label string, queuedAt, grant
 	r.events = append(r.events, ev)
 }
 
-// ResourceQueue implements sim.ResourceObserver: updates the track's
-// queue-depth timeline and, when enabled, emits a counter event.
-func (r *Recorder) ResourceQueue(res *sim.Resource, depth int, at sim.Time) {
-	if r == nil {
-		return
-	}
-	t := r.track(res.Name())
-	t.tl.SetDepth(depth, at)
-	if r.qctr {
-		r.events = append(r.events, event{
-			Name: t.Name + " queue", Cat: "queue", Ph: phCounter, Ts: at, Tid: t.id,
-			Args: []KV{{K: "depth", V: depth}},
-		})
-	}
-}
+// ResourceQueue implements sim.ResourceObserver. Queue depth is not
+// traced: each hold's wait already rides on its span.
+func (r *Recorder) ResourceQueue(*sim.Resource, int, sim.Time) {}
 
 // BeginSpan opens an async span (a lifecycle phase not tied to one
 // resource: a request, a GC round, a grant arbitration). The returned id
@@ -300,21 +277,15 @@ func (r *Recorder) HeatRows(kind string, end sim.Time) (names []string, rows [][
 	}
 	tracks := r.Tracks(kind)
 	width := 0
-	if r.window > 0 && end > 0 {
+	if end > 0 {
 		width = int((end + r.window - 1) / r.window)
 	}
 	for _, t := range tracks {
-		row := t.tl.UtilSeries()
-		if len(row) > width {
-			width = len(row)
-		}
-		names = append(names, t.Name)
-		rows = append(rows, row)
+		width = max(width, t.tl.busy.Len())
 	}
-	for i := range rows {
-		for len(rows[i]) < width {
-			rows[i] = append(rows[i], 0)
-		}
+	for _, t := range tracks {
+		names = append(names, t.Name)
+		rows = append(rows, t.tl.UtilSeries(width))
 	}
 	return names, rows
 }

@@ -46,7 +46,7 @@ func TestTimelineBusyWindowing(t *testing.T) {
 	tl := NewTimeline(win)
 	// A hold spanning windows 0..2: [5us, 25us) = 5us in w0, 10us in w1, 5us in w2.
 	tl.AddBusy(5*sim.Microsecond, 25*sim.Microsecond)
-	series := tl.UtilSeries()
+	series := tl.UtilSeries(3)
 	want := []float64{0.5, 1.0, 0.5}
 	if len(series) != len(want) {
 		t.Fatalf("series length %d, want %d", len(series), len(want))
@@ -56,34 +56,12 @@ func TestTimelineBusyWindowing(t *testing.T) {
 			t.Fatalf("window %d utilization %v, want %v", i, series[i], v)
 		}
 	}
+	// Windows past the last hold read zero.
+	if pad := tl.UtilSeries(5); pad[3] != 0 || pad[4] != 0 || pad[1] != 1.0 {
+		t.Fatalf("padded series %v", pad)
+	}
 	if tl.TotalBusy() != 20*sim.Microsecond {
 		t.Fatalf("TotalBusy %v, want 20us", tl.TotalBusy())
-	}
-}
-
-func TestTimelineQueueIntegral(t *testing.T) {
-	win := 10 * sim.Microsecond
-	tl := NewTimeline(win)
-	tl.SetDepth(2, 0)                  // depth 2 over [0, 5us)
-	tl.SetDepth(0, 5*sim.Microsecond)  // depth 0 over [5us, 20us)
-	tl.SetDepth(4, 20*sim.Microsecond) // depth 4 over [20us, 25us)
-	series := tl.QueueSeries(25 * sim.Microsecond)
-	// w0: 2*5us/10us = 1.0 mean depth; w1: 0; w2: 4*5us/10us = 2.0.
-	want := []float64{1.0, 0.0, 2.0}
-	if len(series) != len(want) {
-		t.Fatalf("series length %d, want %d", len(series), len(want))
-	}
-	for i, v := range want {
-		if series[i] != v {
-			t.Fatalf("window %d mean depth %v, want %v", i, series[i], v)
-		}
-	}
-	// QueueSeries must not mutate state: calling again gives the same answer.
-	again := tl.QueueSeries(25 * sim.Microsecond)
-	for i := range want {
-		if again[i] != series[i] {
-			t.Fatal("QueueSeries mutated the timeline")
-		}
 	}
 }
 
